@@ -29,52 +29,12 @@
 //!
 //! Exits non-zero on the first violated invariant (CI gate).
 
-use esse_mtc::journal::{Journal, JournalRecord};
-use std::collections::{HashMap, HashSet};
+use esse_bench::harness::{
+    assert_no_reruns, get_or, parse_args, read_posterior, sibling, xorshift64,
+};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::time::{Duration, Instant};
-
-fn parse_args(argv: &[String]) -> HashMap<String, String> {
-    let mut map = HashMap::new();
-    let mut i = 0;
-    while i < argv.len() {
-        if let Some(key) = argv[i].strip_prefix("--") {
-            let val = argv.get(i + 1).filter(|v| !v.starts_with("--"));
-            match val {
-                Some(v) => {
-                    map.insert(key.to_string(), v.clone());
-                    i += 2;
-                }
-                None => {
-                    map.insert(key.to_string(), String::new());
-                    i += 1;
-                }
-            }
-        } else {
-            i += 1;
-        }
-    }
-    map
-}
-
-fn get_or<T: std::str::FromStr>(args: &HashMap<String, String>, key: &str, default: T) -> T {
-    args.get(key).and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-fn sibling(name: &str) -> PathBuf {
-    let mut exe = std::env::current_exe().expect("current exe path");
-    exe.set_file_name(name);
-    exe
-}
-
-/// Deterministic offset stream for the SIGKILL loop.
-fn xorshift64(mut x: u64) -> u64 {
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    x
-}
 
 struct MasterConfig {
     master: PathBuf,
@@ -110,33 +70,6 @@ impl MasterConfig {
             .stderr(std::process::Stdio::null());
         cmd
     }
-}
-
-/// The no-rerun invariant: walking the journal in order, a member may
-/// only complete again after an intervening quarantine record.
-fn assert_no_reruns(journal: &Path) -> Result<usize, String> {
-    let replay = Journal::replay(journal).map_err(|e| format!("replay {journal:?}: {e}"))?;
-    let mut completed: HashSet<u64> = HashSet::new();
-    for rec in &replay.records {
-        match rec {
-            JournalRecord::MemberCompleted { member, .. } if !completed.insert(*member) => {
-                return Err(format!(
-                    "member {member} recorded MemberCompleted twice without quarantine \
-                     — a completed member was re-run"
-                ));
-            }
-            JournalRecord::MemberQuarantined { member, .. } => {
-                completed.remove(member);
-            }
-            _ => {}
-        }
-    }
-    Ok(replay.records.len())
-}
-
-fn read_posterior(workdir: &Path) -> Result<Vec<u8>, String> {
-    std::fs::read(workdir.join("posterior.sub"))
-        .map_err(|e| format!("read {}/posterior.sub: {e}", workdir.display()))
 }
 
 /// Resume a killed run to completion (the resume itself must succeed

@@ -91,53 +91,14 @@
 //! the workdirs (journals, pool state, traces) are left in the
 //! artifacts directory for post-mortem upload.
 
+use esse_bench::harness::{
+    assert_no_reruns, get_or, parse_args, read_posterior, sibling, xorshift64,
+};
 use esse_mtc::journal::{Journal, JournalRecord};
 use esse_mtc::FaultPlan;
-use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
-
-fn parse_args(argv: &[String]) -> HashMap<String, String> {
-    let mut map = HashMap::new();
-    let mut i = 0;
-    while i < argv.len() {
-        if let Some(key) = argv[i].strip_prefix("--") {
-            let val = argv.get(i + 1).filter(|v| !v.starts_with("--"));
-            match val {
-                Some(v) => {
-                    map.insert(key.to_string(), v.clone());
-                    i += 2;
-                }
-                None => {
-                    map.insert(key.to_string(), String::new());
-                    i += 1;
-                }
-            }
-        } else {
-            i += 1;
-        }
-    }
-    map
-}
-
-fn get_or<T: std::str::FromStr>(args: &HashMap<String, String>, key: &str, default: T) -> T {
-    args.get(key).and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-fn sibling(name: &str) -> PathBuf {
-    let mut exe = std::env::current_exe().expect("current exe path");
-    exe.set_file_name(name);
-    exe
-}
-
-/// Deterministic stream for the kill schedule.
-fn xorshift64(mut x: u64) -> u64 {
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    x
-}
 
 struct ChaosConfig {
     master: PathBuf,
@@ -285,36 +246,9 @@ impl ChaosConfig {
     }
 }
 
-/// The no-double-ingestion invariant: walking the journal in order, a
-/// member may only complete again after an intervening quarantine.
-fn assert_no_reruns(journal: &Path) -> Result<(), String> {
-    let replay = Journal::replay(journal).map_err(|e| format!("replay {journal:?}: {e}"))?;
-    let mut completed: HashSet<u64> = HashSet::new();
-    for rec in &replay.records {
-        match rec {
-            JournalRecord::MemberCompleted { member, .. } if !completed.insert(*member) => {
-                return Err(format!(
-                    "member {member} recorded MemberCompleted twice without quarantine \
-                     — a result was ingested twice"
-                ));
-            }
-            JournalRecord::MemberQuarantined { member, .. } => {
-                completed.remove(member);
-            }
-            _ => {}
-        }
-    }
-    Ok(())
-}
-
 fn journal_converged(journal: &Path) -> Result<bool, String> {
     let replay = Journal::replay(journal).map_err(|e| format!("replay {journal:?}: {e}"))?;
     Ok(replay.records.iter().any(|r| matches!(r, JournalRecord::Converged { .. })))
-}
-
-fn read_posterior(workdir: &Path) -> Result<Vec<u8>, String> {
-    std::fs::read(workdir.join("posterior.sub"))
-        .map_err(|e| format!("read {}/posterior.sub: {e}", workdir.display()))
 }
 
 /// Read one counter or gauge out of the Prometheus text the master

@@ -109,6 +109,20 @@ impl SpreadAccumulator {
             version: self.version,
         }
     }
+
+    /// [`Self::snapshot`] with the columns in ascending member-id order,
+    /// so a decomposition of it depends only on *which* members arrived,
+    /// never on the order they arrived in.
+    pub fn sorted_snapshot(&self) -> SpreadSnapshot {
+        let mut snap = self.snapshot();
+        let mut order: Vec<usize> = (0..self.count()).collect();
+        order.sort_by_key(|&j| self.member_ids[j]);
+        if order.iter().enumerate().any(|(i, &j)| i != j) {
+            snap.matrix = snap.matrix.select_cols(&order);
+            snap.member_ids = order.iter().map(|&j| self.member_ids[j]).collect();
+        }
+        snap
+    }
 }
 
 impl SpreadSnapshot {

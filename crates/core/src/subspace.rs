@@ -215,6 +215,27 @@ pub enum SubspaceStrategy {
     },
 }
 
+impl SubspaceStrategy {
+    /// Parse a strategy flag: `full` (the bit-identical default),
+    /// `incremental` (rank-updating tracker with default drift
+    /// control), or `incremental:REFRESH,TOL` to pin the periodic
+    /// full-recompute cadence and the orthonormality-defect tolerance.
+    pub fn parse(v: &str) -> Option<SubspaceStrategy> {
+        if v == "full" {
+            return Some(SubspaceStrategy::FullRecompute);
+        }
+        let rest = v.strip_prefix("incremental")?;
+        if rest.is_empty() {
+            return Some(SubspaceStrategy::Incremental { refresh_every: 8, defect_tol: 1e-6 });
+        }
+        let (refresh, tol) = rest.strip_prefix(':')?.split_once(',')?;
+        Some(SubspaceStrategy::Incremental {
+            refresh_every: refresh.parse().ok()?,
+            defect_tol: tol.parse().ok()?,
+        })
+    }
+}
+
 /// Incrementally consumes member forecasts and produces subspace
 /// estimates on demand — the coordinator's SVD-lane abstraction.
 ///
@@ -235,6 +256,12 @@ pub trait SubspaceEstimator: Send {
     /// Produce the current estimate. `Ok(None)` when fewer than two
     /// members are available (no spread to decompose).
     fn estimate(&mut self) -> Result<Option<SubspaceUpdate>, EsseError>;
+
+    /// Full thin SVD of everything accumulated so far, leaving any
+    /// tracked state untouched: bit-identical to a fresh
+    /// [`FullRecompute`] fed the same members in the same order. `None`
+    /// below two members or on a failed decomposition.
+    fn recompute(&self) -> Option<ErrorSubspace>;
 
     /// Stable strategy label for logs and traces.
     fn strategy(&self) -> &'static str;
@@ -271,20 +298,22 @@ impl SubspaceEstimator for FullRecompute {
     }
 
     fn estimate(&mut self) -> Result<Option<SubspaceUpdate>, EsseError> {
-        let snap = self.acc.snapshot();
-        // `svd()` returns None below two members *and* on a failed
+        // `recompute` returns None below two members *and* on a failed
         // decomposition — the legacy path treated both as "skip this
         // round", so the default strategy must too.
-        let Some(svd) = snap.svd() else { return Ok(None) };
-        let subspace = ErrorSubspace::from_spread_svd(&svd, self.rel_tol, self.max_rank);
+        let Some(subspace) = self.recompute() else { return Ok(None) };
         let defect = subspace.orthonormality_defect();
         Ok(Some(SubspaceUpdate {
             subspace,
             kind: UpdateKind::Full,
-            members: snap.count(),
+            members: self.acc.count(),
             defect,
             error_bound: 0.0,
         }))
+    }
+
+    fn recompute(&self) -> Option<ErrorSubspace> {
+        full_subspace(&self.acc, self.rel_tol, self.max_rank)
     }
 
     fn strategy(&self) -> &'static str {
@@ -405,9 +434,20 @@ impl SubspaceEstimator for IncrementalEstimator {
         }))
     }
 
+    fn recompute(&self) -> Option<ErrorSubspace> {
+        full_subspace(&self.acc, self.rel_tol, self.max_rank)
+    }
+
     fn strategy(&self) -> &'static str {
         "incremental"
     }
+}
+
+/// Thin SVD of the normalized spread (columns in member-id order, so
+/// the bits do not depend on arrival order), trimmed to the retained rank.
+fn full_subspace(acc: &SpreadAccumulator, rel_tol: f64, max_rank: usize) -> Option<ErrorSubspace> {
+    let svd = acc.sorted_snapshot().svd()?;
+    Some(ErrorSubspace::from_spread_svd(&svd, rel_tol, max_rank))
 }
 
 /// Construct the estimator for a strategy — the single factory both

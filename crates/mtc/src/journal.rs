@@ -25,10 +25,10 @@
 //!   rehydrate — completed members are never re-run.
 
 use esse_core::durable::{atomic_write, crc32, fsync_dir};
-use parking_lot::Mutex;
 use std::fs;
 use std::io::{self, Seek, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
 /// Journal file magic + format version ("ESSEJNL" + version byte).
 const JOURNAL_MAGIC: &[u8; 8] = b"ESSEJNL\x01";
@@ -365,7 +365,7 @@ impl Journal {
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(&crc32(&payload).to_le_bytes());
         frame.extend_from_slice(&payload);
-        let mut file = self.file.lock();
+        let mut file = crate::lock(&self.file);
         file.write_all(&frame)?;
         file.sync_data()
     }
@@ -485,6 +485,20 @@ impl JournalState {
     /// (finite rho values of the SVD rounds, in order).
     pub fn rho_history(&self) -> Vec<f64> {
         self.svd_rounds.iter().map(|r| r.rho).filter(|r| r.is_finite()).collect()
+    }
+
+    /// Members at which the run converged under `tolerance`, if it
+    /// did: the `Converged` record, or — when the coordinator died
+    /// between an `SvdPublished` and its `Converged` — the first round
+    /// whose (finite) rho passes the test.
+    pub fn converged_at(&self, tolerance: f64) -> Option<u64> {
+        use esse_core::convergence::ConvergenceTest;
+        if !ConvergenceTest::restore(tolerance, &self.rho_history()).converged() {
+            return None;
+        }
+        let mut test = ConvergenceTest::new(tolerance);
+        let replayed = self.svd_rounds.iter().find(|r| r.rho.is_finite() && test.check(r.rho));
+        self.converged.map(|(m, _)| m).or(replayed.map(|r| r.members))
     }
 
     /// Member count at the latest SVD publication (0 if none ran yet):

@@ -23,6 +23,7 @@
 //! replaying constants.
 
 pub mod bookkeeping;
+pub mod coordinator;
 pub mod coverage;
 pub mod fault;
 pub mod journal;
@@ -48,6 +49,14 @@ pub mod sim {
     pub mod scheduler;
     pub mod storage;
     pub mod submission;
+}
+
+/// Lock `m`, entering it even if a panicking holder poisoned it: every
+/// guarded value here (a file handle, a published snapshot, a parking
+/// watch) stays consistent across a panic, so poisoning carries no
+/// information worth propagating.
+pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 pub use fault::{CorruptionKind, FaultPlan, FaultReport, RetryPolicy, RunHealth};

@@ -28,9 +28,9 @@
 //! [`LeaseWatch`]: crate::pool::LeaseWatch
 
 use crate::pool::{Heartbeat, PoolManifest, ResultRecord, TaskPool, TaskSpec};
-use parking_lot::Mutex;
 use std::io;
 use std::path::Path;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// What a claim attempt produced.
@@ -188,7 +188,7 @@ impl DiskTransport {
     /// Park for up to `grace` when the watched coordinator dies,
     /// adopting a restarted coordinator found through `master.lock`.
     pub fn with_coordinator_grace(self, grace: Duration) -> DiskTransport {
-        self.watch.lock().grace = grace;
+        crate::lock(&self.watch).grace = grace;
         self
     }
 
@@ -272,7 +272,7 @@ impl PoolTransport for DiskTransport {
     }
 
     fn coordinator_alive(&self) -> bool {
-        let mut w = self.watch.lock();
+        let mut w = crate::lock(&self.watch);
         let Some(old) = w.parent_pid else { return true };
         if w.dead {
             return false;

@@ -15,12 +15,11 @@
 //! the version currently being read.
 
 use esse_core::durable::{atomic_write, crc32, fsync_dir};
-use parking_lot::Mutex;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// A versioned value published through the safe/live-pair protocol.
 pub struct TripleBuffer<T> {
@@ -47,7 +46,7 @@ impl<T> TripleBuffer<T> {
     /// constructed by the caller plus the one being swapped in here; the
     /// old safe version stays alive (Arc) for any reader still using it.
     pub fn publish(&self, value: T, version: u64) {
-        let mut slot = self.safe.lock();
+        let mut slot = crate::lock(&self.safe);
         *slot = Some(Arc::new(value));
         self.safe_version.store(version, Ordering::Release);
     }
@@ -55,7 +54,7 @@ impl<T> TripleBuffer<T> {
     /// Reader side: take the latest complete version, if any. The Arc
     /// keeps it consistent even while newer versions are published.
     pub fn read(&self) -> Option<(Arc<T>, u64)> {
-        let slot = self.safe.lock();
+        let slot = crate::lock(&self.safe);
         slot.as_ref().map(|v| (Arc::clone(v), self.safe_version.load(Ordering::Acquire)))
     }
 
@@ -146,7 +145,7 @@ impl DiskTripleBuffer {
     /// leaves a valid live frame that [`recover`](Self::recover) will
     /// still find.
     pub fn publish(&self, payload: &[u8], version: u64) -> io::Result<()> {
-        let _guard = self.write_lock.lock();
+        let _guard = crate::lock(&self.write_lock);
         let frame = Self::encode(payload, version);
         {
             let mut f = fs::File::create(self.live_path(version))?;
@@ -175,7 +174,7 @@ impl DiskTripleBuffer {
     /// live slots may be the only recoverable state). Intended for
     /// completed or parked runs; never call it under a live writer.
     pub fn prune_superseded(&self) -> io::Result<usize> {
-        let _guard = self.write_lock.lock();
+        let _guard = crate::lock(&self.write_lock);
         let Some((_, safe_version)) = self.read_safe()? else {
             return Ok(0);
         };

@@ -25,7 +25,6 @@ use crate::fault::{FaultKind, FaultPlan, FaultReport, RetryPolicy, RunHealth};
 use crate::journal::{encode_subspace_blob, Checkpoint};
 use crate::task::{TaskId, TaskOutcome, TaskRecord, TaskState};
 use crate::triple_buffer::DiskTripleBuffer;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use esse_core::adaptive::{CompletionPolicy, EnsembleSchedule};
 use esse_core::convergence::{similarity, ConvergenceTest};
 use esse_core::model::{ForecastError, ForecastModel};
@@ -39,6 +38,8 @@ use esse_obs::{Lane, Recorder, RecorderExt, NULL};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Duration since workflow start as trace nanoseconds.
@@ -631,8 +632,11 @@ impl<'m, M: ForecastModel> MtcEsse<'m, M> {
             obs.end_at(ns(t0.elapsed()), Lane::Coordinator, "phase", "central_forecast");
         }
 
-        let (task_tx, task_rx) = unbounded::<Attempt>();
-        let (msg_tx, msg_rx) = unbounded::<WorkerMsg>();
+        let (task_tx, task_rx) = channel::<Attempt>();
+        // Workers share the one task receiver; each takes the lock only
+        // for the duration of a single bounded receive.
+        let task_rx = Mutex::new(task_rx);
+        let (msg_tx, msg_rx) = channel::<WorkerMsg>();
         let cancel = AtomicBool::new(false);
         let workers_alive = AtomicUsize::new(cfg.workers.max(1));
 
@@ -687,7 +691,7 @@ impl<'m, M: ForecastModel> MtcEsse<'m, M> {
         let outcome = std::thread::scope(|scope| -> Result<MtcOutcome, EsseError> {
             // --- Workers: the MTC pool. ---
             for w in 0..cfg.workers.max(1) {
-                let task_rx: Receiver<Attempt> = task_rx.clone();
+                let task_rx = &task_rx;
                 let msg_tx: Sender<WorkerMsg> = msg_tx.clone();
                 let gen = &gen;
                 let cancel = &cancel;
@@ -699,7 +703,12 @@ impl<'m, M: ForecastModel> MtcEsse<'m, M> {
                         if cancel.load(Ordering::Relaxed) {
                             break;
                         }
-                        match task_rx.recv_timeout(Duration::from_millis(5)) {
+                        // Let a woken peer take the receiver first: a worker
+                        // back from a short task would otherwise barge past
+                        // workers already waiting on the lock.
+                        std::thread::yield_now();
+                        let next = crate::lock(task_rx).recv_timeout(Duration::from_millis(5));
+                        match next {
                             Ok(Attempt { id, attempt }) => {
                                 tasks_started += 1;
                                 let started = t0.elapsed();
@@ -869,14 +878,14 @@ impl<'m, M: ForecastModel> MtcEsse<'m, M> {
             /// (convergence, deadline, pool death): they will never be
             /// picked up.
             fn drain_queued(
-                task_rx: &Receiver<Attempt>,
+                task_rx: &Mutex<Receiver<Attempt>>,
                 records: &mut [TaskRecord],
                 book: &mut MemberBook,
                 got: &mut usize,
                 obs: &dyn Recorder,
                 now: Duration,
             ) {
-                while let Ok(att) = task_rx.try_recv() {
+                while let Ok(att) = crate::lock(task_rx).try_recv() {
                     *got += 1;
                     book.inflight[att.id] = book.inflight[att.id].saturating_sub(1);
                     if !book.resolved[att.id] {
@@ -1044,8 +1053,8 @@ impl<'m, M: ForecastModel> MtcEsse<'m, M> {
                     Ok(WorkerMsg::Done { id, attempt, worker, started, finished, result }) => {
                         (id, attempt, worker, started, finished, result)
                     }
-                    Err(crossbeam::channel::RecvTimeoutError::Timeout) => continue,
-                    Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
+                    Err(RecvTimeoutError::Timeout) => continue,
+                    Err(RecvTimeoutError::Disconnected) => break,
                 };
                 got += 1;
                 book.inflight[id] = book.inflight[id].saturating_sub(1);

@@ -41,6 +41,7 @@
 //! consumer downstream (exporters, timelines, tests) is agnostic.
 
 pub mod analyze;
+pub mod crc;
 pub mod event;
 pub mod export;
 pub mod fleet;

@@ -1,145 +1,104 @@
-//! `esse_master` — the master script of paper §4.2, as a *pure
-//! coordinator* over the decoupled on-disk task pool.
+//! `esse_master` — the master script of paper §4.2: "a central machine
+//! on the home cluster launches singleton jobs that implement the
+//! perturb/forecast ensemble calculations. The differ, SVD and
+//! convergence check calculations proceed semi-independently".
 //!
-//! "This master script that runs on a central machine on the home
-//! cluster launches singleton jobs that implement the perturb/forecast
-//! ensemble calculations. The differ, SVD and convergence check
-//! calculations proceed semi-independently …. Dependencies are tracked
-//! using separate (per perturbation index) files containing the error
-//! codes of the singleton scripts."
+//! The master runs no forecast itself. It seeds lease-carrying task
+//! records into `workdir/pool/pending/`; local `esse_worker` children
+//! (`--workers`, alias `--children`), external workers pointed at the
+//! workdir and remote workers over `--listen` claim them by atomic
+//! rename and publish CRC-framed results. Every decision — fencing,
+//! leases, requeue budgets, quarantine, decided-prefix checkpoints,
+//! convergence — lives in the pure [`esse::mtc::coordinator`] core,
+//! which turns each pool scan into an ordered list of actions. This
+//! binary carries them out and owns everything else with a side effect:
+//! the CLI (see [`USAGE`]), the workdir lock, the fsynced journal
+//! (`--resume` replays it) with its park and crash hooks, the model and
+//! central forecast, the local fleet, the TCP listener, traces, metrics
+//! and stdout. With `--trace-out`, workers ship span batches back and
+//! the master merges every decodable batch of this run into the trace
+//! at wind-down; the posterior is bit-identical with tracing on or off.
 //!
-//! The master no longer runs member forecasts itself. It seeds one
-//! lease-carrying task record per member into `workdir/pool/pending/`
-//! and any number of autonomous `esse_worker` processes — local
-//! children it spawns (`--workers`, alias `--children`), or external
-//! workers someone else points at the workdir — claim tasks by atomic
-//! rename and publish CRC-framed results. The coordinator's loop:
-//!
-//! * **ingests** published results, validating every forecast file
-//!   against its checksum before the journal commit point and fencing
-//!   off any result whose epoch is not the member's current epoch (a
-//!   zombie worker resuming after its lease expired can still publish —
-//!   its stale result lands in `pool/results/stale/`, never ingested);
-//! * **watches leases** on its own clock: a claim whose heartbeat
-//!   counter stops advancing for `--lease-ms` is reclaimed and the task
-//!   requeued at the next fencing epoch;
-//! * runs the **continuous SVD + convergence test** at deterministic
-//!   decided-prefix checkpoints (see below), publishing each estimate
-//!   through the §4.1 safe/live covariance files;
-//! * on convergence writes the `CANCEL` tombstone, which workers
-//!   observe *mid-run* (they kill the in-flight forecast — the paper's
-//!   task-cancellation protocol).
-//!
-//! **Determinism.** SVD checkpoints fire when the *decided prefix* —
-//! the contiguous run of members from index 0 whose fate is settled
-//! (completed or permanently failed) — crosses fixed member counts, and
-//! each checkpoint decomposes exactly the first `c` completed members
-//! of that prefix in ascending index order. Member forecasts are pure
-//! functions of `(member, seed)` and requeues reuse the member's seed,
-//! so the rho sequence, the convergence point and the posterior are
-//! bit-identical no matter how many workers run, in what order results
-//! land, or how many workers are killed mid-task.
-//!
-//! Crash consistency is unchanged from the journalled design: every
-//! state transition is appended to the checksummed, fsynced
-//! `run.journal`, `--resume` replays it (truncating any torn tail),
-//! validates completed forecasts, quarantines corrupt ones, recovers
-//! fencing epochs from the pool directories and continues. A non-empty
-//! workdir is refused unless `--resume` or `--force` is given, and an
-//! advisory `master.lock` (O_EXCL, PID-stamped, stale-broken) keeps two
-//! live coordinators out of one workdir.
-//!
-//! ```text
-//! esse_master --workdir DIR --domain monterey:NX,NY,NZ --hours H \
-//!             [--initial N] [--max NMAX] [--tolerance T] [--workers C] \
-//!             [--lease-ms MS] [--task-attempts A] [--requeue-budget B] \
-//!             [--white-noise E] [--base-seed S] [--resume | --force] \
-//!             [--subspace full|incremental[:REFRESH,TOL]] \
-//!             [--trace-out PATH] [--trace-capacity N] [--metrics-out PATH]
-//! ```
-//!
-//! **Distributed tracing.** With `--trace-out` the manifest carries a
-//! nonzero `trace_run_id`; workers record real spans around
-//! claim/stage/pert/pemodel/publish into a bounded local ring and ship
-//! finished batches back (CRC-framed `.trace` sidecars next to results
-//! on the disk transport, a `TRACE` message over TCP). At wind-down the
-//! coordinator decodes every sidecar (dropping, never trusting,
-//! truncated or corrupt ones), estimates each worker's clock offset
-//! from coordinator-stamped enqueue/grant/ingest events bracketing the
-//! worker's own claim/publish stamps — midpoints where both sides of an
-//! exchange are visible, one-sided bounds otherwise, consistent with
-//! the no-cross-host-clock-sync lease design — rebases the remote spans
-//! and merges them into the run trace as per-worker lanes. Tracing is
-//! purely observational: the posterior is bit-identical with it on or
-//! off.
+//! Exit codes: 0 done, 1 run failure, 2 configuration, 3 workdir locked
+//! by a live master, 4 journal parked (resume once storage recovers),
+//! 101 any other I/O failure.
 
 use esse::cli::{self, files};
-use esse::core::adaptive::EnsembleSchedule;
-use esse::core::convergence::{similarity, ConvergenceTest};
-use esse::core::covariance::SpreadAccumulator;
 use esse::core::perturb::{PerturbConfig, PerturbationGenerator};
-use esse::core::subspace::{make_estimator, ErrorSubspace, SubspaceEstimator, SubspaceStrategy};
-use esse::core::validate::{finite_stat, ForecastValidator, Reason, ValidatorConfig, Verdict};
+use esse::core::subspace::SubspaceStrategy;
+use esse::core::validate::{ForecastValidator, ValidatorConfig};
 use esse::fileio;
-use esse::linalg::LinalgCtx;
 use esse::mtc::bookkeeping::{ExitStatus, StatusDir};
-use esse::mtc::journal::{
-    config_hash, encode_subspace_blob, Journal, JournalRecord, JournalState, SvdRound,
-};
-use esse::mtc::pool::{LeaseState, LeaseWatch, PoolManifest, TaskPool, TaskSpec, CODE_REJECTED};
-use esse::mtc::{DiskTripleBuffer, LockError, RetryPolicy, WorkdirLock};
-use esse_obs::event::Lane;
+use esse::mtc::coordinator::{Action, Coordinator, CoordinatorConfig, Opening};
+use esse::mtc::journal::{config_hash, encode_subspace_blob, Journal, JournalRecord, JournalState};
+use esse::mtc::pool::{LeaseState, PoolManifest, TaskPool, TaskSpec};
+use esse::mtc::{DiskTripleBuffer, LockError, WorkdirLock};
+use esse_obs::event::{ArgValue, Lane};
+use esse_obs::fleet::SpanBatch;
 use esse_obs::recorder::{Recorder, RecorderExt, NULL};
 use esse_obs::registry::MetricsRegistry;
 use esse_obs::ring::RingRecorder;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::cell::Cell;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Command-line synopsis.
 const USAGE: &str = "esse_master --workdir DIR --domain monterey:NX,NY,NZ --hours H \
                      [--initial N] [--max NMAX] [--tolerance T] [--workers C] \
                      [--lease-ms MS] [--task-attempts A] [--requeue-budget B] \
-                     [--subspace full|incremental[:REFRESH,TOL]] \
-                     [--listen ADDR] [--resume | --force]\n\
+                     [--white-noise E] [--base-seed S] \
+                     [--subspace full|incremental[:REFRESH,TOL]] [--listen ADDR] \
+                     [--trace-out PATH] [--trace-capacity N] [--metrics-out PATH] \
+                     [--resume | --force]\n\
                      esse_master --workdir DIR --gc [--gc-keep N]";
 
-/// Parse the `--subspace` flag: `full` (the bit-identical default),
-/// `incremental` (rank-updating tracker with default drift control), or
-/// `incremental:REFRESH,TOL` to pin the periodic full-recompute cadence
-/// and the orthonormality-defect tolerance.
-fn parse_subspace_flag(v: &str) -> Option<SubspaceStrategy> {
-    if v == "full" {
-        return Some(SubspaceStrategy::FullRecompute);
-    }
-    let rest = v.strip_prefix("incremental")?;
-    if rest.is_empty() {
-        return Some(SubspaceStrategy::Incremental { refresh_every: 8, defect_tol: 1e-6 });
-    }
-    let (refresh, tol) = rest.strip_prefix(':')?.split_once(',')?;
-    Some(SubspaceStrategy::Incremental {
-        refresh_every: refresh.parse().ok()?,
-        defect_tol: tol.parse().ok()?,
-    })
-}
-
-/// Journal file name inside the workdir.
-const JOURNAL: &str = "run.journal";
 /// Quarantine subdirectory for forecast files that failed validation.
 const QUARANTINE: &str = "quarantine";
-/// Exit code journalled when a member exhausts its lease-requeue budget.
-const CODE_LEASE_BUDGET: i32 = -9;
-/// Exit code journalled when a member keeps failing semantic validation
-/// past the requeue budget (replacements could not heal it).
-const CODE_QUARANTINE_BUDGET: i32 = -10;
-/// Exit code of a run parked because the journal itself could not be
-/// appended (ENOSPC, failed fsync): the run stops cleanly and waits for
-/// `--resume` on a healthy disk.
-const EXIT_JOURNAL_PARKED: i32 = 4;
+/// Per-worker stdio logs and metric snapshots of the local fleet.
+const WORKER_LOG_DIR: &str = "logs";
+/// Counters registered up front so a zero still shows in the export.
+const COUNTERS: [&str; 11] = [
+    "esse_pool_lease_granted_total",
+    "esse_pool_lease_renewed_total",
+    "esse_pool_lease_expired_total",
+    "esse_pool_fencing_rejected_total",
+    "esse_pool_tasks_seeded_total",
+    "esse_pool_results_ingested_total",
+    "esse_quarantined_total",
+    "esse_replaced_total",
+    "esse_fleet_trace_batches_total",
+    "esse_fleet_trace_batches_rejected_total",
+    "esse_fleet_spans_merged_total",
+];
+
+/// Why the master stopped early; each cause has its own exit code.
+enum Stop {
+    /// Bad invocation, or a workdir/journal that belongs elsewhere (2).
+    Config(String),
+    /// Another live master holds the workdir lock (3).
+    Locked(String),
+    /// The journal could not be appended (disk full, failed fsync): the
+    /// committed prefix is intact and waits for `--resume` (4).
+    Parked(String),
+    /// The run itself failed: central forecast, too few members (1).
+    Failed(String),
+    /// Any other I/O failure (101).
+    Io(String),
+}
+
+/// Attach what was being done to an I/O error.
+trait Context<T> {
+    fn ctx(self, what: &str) -> Result<T, Stop>;
+}
+
+impl<T> Context<T> for io::Result<T> {
+    fn ctx(self, what: &str) -> Result<T, Stop> {
+        self.map_err(|e| Stop::Io(format!("{what}: {e}")))
+    }
+}
 
 /// The workdir journal plus the crash-injection counter used by the
 /// recovery harness (`--crash-after-appends N` aborts the process the
@@ -147,255 +106,278 @@ const EXIT_JOURNAL_PARKED: i32 = 4;
 /// a power loss at a chosen journal offset).
 struct MasterJournal {
     journal: Journal,
-    appends: Cell<u64>,
+    appends: u64,
     crash_after: Option<u64>,
 }
 
 impl MasterJournal {
-    fn append(&self, rec: &JournalRecord) {
-        if let Err(e) = self.journal.append(rec) {
-            // The journal is the run's source of truth: a failed append
-            // (disk full, failed fsync — or the `--fail-appends`
-            // injection) means no further state transition can be made
-            // durable. Park the run cleanly instead of panicking: the
-            // already-durable prefix replays under `--resume`, workers
-            // ride out the coordinator outage on their parking grace,
-            // and the distinct exit code tells supervisors this is a
-            // storage fault, not a config error or a crash.
-            eprintln!(
-                "esse_master: journal append failed ({e}); \
-                 parking run — resume with --resume once storage recovers"
-            );
-            std::process::exit(EXIT_JOURNAL_PARKED);
-        }
-        self.appends.set(self.appends.get() + 1);
-        if self.crash_after.is_some_and(|n| self.appends.get() >= n) {
+    fn append(&mut self, rec: &JournalRecord) -> Result<(), Stop> {
+        // The journal is the run's source of truth: once an append
+        // fails no further transition can be made durable, so the run
+        // parks and workers ride out the outage on their parking grace.
+        self.journal.append(rec).map_err(|e| {
+            Stop::Parked(format!(
+                "journal append failed ({e}); parking run — resume with --resume once storage recovers"
+            ))
+        })?;
+        self.appends += 1;
+        if self.crash_after.is_some_and(|n| self.appends >= n) {
             // No destructors, no buffered-writer flush: the closest a
             // process can get to losing power.
             std::process::abort();
         }
+        Ok(())
     }
 }
 
-fn sibling(name: &str) -> PathBuf {
-    let mut exe = std::env::current_exe().expect("current exe path");
-    exe.set_file_name(name);
-    exe
+/// Everything an action may touch, and the mapping of each action onto
+/// pool files, journal records, trace instants, counters and stdout.
+struct Executor<'a> {
+    workdir: &'a Path,
+    pool: &'a TaskPool,
+    journal: MasterJournal,
+    status: StatusDir,
+    covariance: DiskTripleBuffer,
+    gen: PerturbationGenerator<'a>,
+    metrics: &'a MetricsRegistry,
+    rec: &'a dyn Recorder,
+    trace_run: u64,
+    incarnation: u64,
+    tolerance: f64,
+    cancelled: usize,
 }
 
-/// Move a forecast file that failed validation (checksum *or* the
-/// semantic gate) into the quarantine corner and journal the decision
-/// with its reason code, so the member is requeued, a resume replays
-/// the same verdict bit-for-bit, and the offending bytes are never
-/// ingested — but remain on disk for post-mortem inspection.
-fn quarantine_member(
-    workdir: &Path,
-    journal: &MasterJournal,
-    member: usize,
-    reason: u32,
-    why: &str,
-) {
-    let fc = workdir.join(files::fc(member));
-    let qdir = workdir.join(QUARANTINE);
-    fs::create_dir_all(&qdir).expect("create quarantine dir");
-    if fc.exists() {
-        fs::rename(&fc, qdir.join(files::fc(member))).expect("quarantine rename");
-    }
-    journal.append(&JournalRecord::MemberQuarantined { member: member as u64, reason });
-    eprintln!("esse_master: quarantined member {member}: {why}");
+/// The `(member, epoch)` arguments most pool instants carry.
+fn task_args(member: u64, epoch: u32) -> Vec<(&'static str, ArgValue)> {
+    vec![("member", member.into()), ("epoch", (epoch as u64).into())]
 }
 
-/// Per-member run bookkeeping; `decided` = completed ∪ permanently
-/// failed. Only decided members extend the deterministic prefix.
-#[derive(Default)]
-struct MemberBook {
-    /// Completed members → attempts consumed (ascending iteration).
-    completed: BTreeMap<u64, u32>,
-    /// Permanently failed members (exit-code budget or lease budget).
-    failed: BTreeSet<u64>,
-    /// Deterministic-failure attempts consumed so far (counts real exit
-    /// codes, not lease expiries).
-    attempts: HashMap<u64, u32>,
-    /// Lease-expiry requeues consumed so far (separate, generous budget
-    /// so worker kills can never flip a member to failed).
-    requeues: HashMap<u64, u32>,
-    /// Backoff holds: do not reseed the member before this instant.
-    hold_until: HashMap<u64, Instant>,
-}
-
-impl MemberBook {
-    fn decided(&self, m: u64) -> bool {
-        self.completed.contains_key(&m) || self.failed.contains(&m)
+impl Executor<'_> {
+    fn instant(&self, cat: &'static str, name: &'static str, args: Vec<(&'static str, ArgValue)>) {
+        self.rec.instant_at(self.rec.now_ns(), Lane::Coordinator, cat, name, args);
     }
 
-    /// Completed member ids inside the contiguous decided prefix from
-    /// member 0 — the only ids a checkpoint SVD may consume.
-    fn prefix_eligible(&self) -> Vec<u64> {
-        let mut out = Vec::new();
-        let mut m = 0u64;
-        while self.decided(m) {
-            if self.completed.contains_key(&m) {
-                out.push(m);
+    fn count(&self, name: &str) {
+        self.metrics.counter(name).inc();
+    }
+
+    /// The parent span id of task `(member, epoch)`: pure in the trace
+    /// run, so every incarnation derives the same one (0 untraced).
+    fn span_for(&self, member: u64, epoch: u32) -> u64 {
+        if self.trace_run == 0 {
+            return 0;
+        }
+        esse_obs::fleet::span_id(self.trace_run, member, epoch)
+    }
+
+    fn seeded_instant(&self, member: u64, epoch: u32) {
+        let mut args = task_args(member, epoch);
+        args.push(("span", self.span_for(member, epoch).into()));
+        args.push(("incarnation", self.incarnation.into()));
+        self.instant("pool", "task_seeded", args);
+    }
+
+    fn run(&mut self, actions: Vec<Action>) -> Result<(), Stop> {
+        actions.into_iter().try_for_each(|a| self.apply(a))
+    }
+
+    fn apply(&mut self, action: Action) -> Result<(), Stop> {
+        let pool = self.pool;
+        match action {
+            Action::Journal(rec) => {
+                self.journal.append(&rec)?;
+                if let JournalRecord::SvdPublished { members, version, .. } = rec {
+                    let args = vec![("members", members.into()), ("version", version.into())];
+                    self.instant("svd", "svd_published", args);
+                }
             }
-            m += 1;
+            Action::Seed(member, epoch, replaces) => {
+                let seed = self.gen.forecast_seed(member as usize);
+                let parent_span = self.span_for(member, epoch);
+                pool.seed(&TaskSpec { member, epoch, seed, parent_span }).ctx("seed task")?;
+                self.count("esse_pool_tasks_seeded_total");
+                if let Some(reason) = replaces {
+                    let mut args = task_args(member, epoch);
+                    args.push(("reason", (reason as u64).into()));
+                    self.instant("pool", "replacement_scheduled", args);
+                }
+                self.seeded_instant(member, epoch);
+            }
+            Action::Fence(result, current) => {
+                let (m, epoch) = (result.member, result.epoch);
+                self.count("esse_pool_fencing_rejected_total");
+                let mut args = task_args(m, epoch);
+                args.push(("current", (current as u64).into()));
+                self.instant("pool", "fencing_rejected", args);
+                eprintln!(
+                    "esse_master: fenced stale result for member {m} (epoch {epoch} != current {current})"
+                );
+                pool.fence_result(&result).ctx("fence result")?;
+            }
+            Action::Consume(result) => pool.consume_result(&result).ctx("consume result")?,
+            Action::RemoveClaim(member, epoch) => {
+                let spec = TaskSpec { member, epoch, seed: 0, parent_span: 0 };
+                pool.remove_claim(&spec).ctx("remove claim")?;
+            }
+            Action::Status(member, code) => {
+                let status = if code == 0 { ExitStatus::Success } else { ExitStatus::Failed(code) };
+                self.status.record(member as usize, status).ctx("record member status")?;
+            }
+            Action::Ingested(member, epoch) => {
+                self.count("esse_pool_results_ingested_total");
+                self.instant("pool", "result_ingested", task_args(member, epoch));
+                // Note a shipped span batch live, attributed to its
+                // worker; the merge waits for wind-down so a straggler
+                // batch still counts.
+                let sidecar = (self.trace_run != 0).then(|| pool.trace_sidecar_for(member, epoch));
+                let decode = |p: PathBuf| SpanBatch::decode(&fs::read(p).ok()?).ok();
+                if let Some(batch) = sidecar.flatten().and_then(decode) {
+                    let mut args = task_args(member, epoch);
+                    args.push(("worker", (batch.worker_id as u64).into()));
+                    self.instant("fleet", "batch", args);
+                }
+            }
+            Action::Quarantine(member, epoch, reason, why) => {
+                // Moved aside, never deleted: the offending bytes stay
+                // on disk for post-mortem inspection.
+                let name = files::fc(member as usize);
+                let qdir = self.workdir.join(QUARANTINE);
+                fs::create_dir_all(&qdir).ctx("create quarantine dir")?;
+                if self.workdir.join(&name).exists() {
+                    fs::rename(self.workdir.join(&name), qdir.join(&name)).ctx("quarantine")?;
+                }
+                eprintln!("esse_master: quarantined member {member}: {why}");
+                if let Some(epoch) = epoch {
+                    self.count("esse_quarantined_total");
+                    let mut args = task_args(member, epoch);
+                    args.push(("reason", (reason as u64).into()));
+                    self.instant("fault", "member_quarantined", args);
+                }
+            }
+            Action::Lease(member, epoch, state) => match state {
+                LeaseState::Granted => {
+                    self.count("esse_pool_lease_granted_total");
+                    self.instant("pool", "lease_granted", task_args(member, epoch));
+                }
+                LeaseState::Renewed => self.count("esse_pool_lease_renewed_total"),
+                LeaseState::Expired => {
+                    self.count("esse_pool_lease_expired_total");
+                    self.instant("pool", "lease_expired", task_args(member, epoch));
+                    eprintln!("esse_master: lease expired for member {member} (epoch {epoch})");
+                }
+                LeaseState::Held => {}
+            },
+            Action::Note(msg) => eprintln!("esse_master: {msg}"),
+            Action::Estimate(members, kind, defect) => {
+                let args = vec![("members", members.into()), ("defect", defect.into())];
+                self.instant("svd", kind.label(), args);
+            }
+            Action::Rho(members, rho) => {
+                println!("esse_master: N={members} rho={rho:.4} (tol {:.3})", self.tolerance);
+            }
+            Action::PublishCovariance(version, estimate) => {
+                let blob = encode_subspace_blob(&estimate);
+                self.covariance.publish(&blob, version).ctx("publish covariance")?;
+            }
+            Action::Cancel(members, rho) => {
+                self.cancelled = pool.cancel_pending().ctx("cancel pending")?;
+                pool.write_cancel().ctx("write cancel tombstone")?;
+                println!("esse_master: converged; cancelled {} queued members", self.cancelled);
+                let args = vec![("members", members.into()), ("rho", rho.into())];
+                self.instant("convergence", "converged", args);
+            }
         }
-        out
+        Ok(())
     }
 }
 
-/// Mode relative tolerance shared by every subspace estimate.
-const SVD_REL_TOL: f64 = 1e-4;
-/// Rank cap shared by every subspace estimate.
-const SVD_MAX_RANK: usize = 64;
-
-/// Rebuild the error-subspace estimate over exactly `ids` (ascending)
-/// from the on-disk forecast files. Deterministic: same ids, same
-/// bytes, same subspace.
-fn subspace_over(
-    workdir: &Path,
-    central: &[f64],
-    ids: &[u64],
-) -> Option<(SpreadAccumulator, ErrorSubspace)> {
-    let mut acc = SpreadAccumulator::new(central.to_vec());
-    for &m in ids {
-        let xf =
-            fileio::read_vector(workdir.join(files::fc(m as usize))).expect("re-read forecast");
-        acc.add_member(m as usize, &xf);
-    }
-    let svd = acc.snapshot().svd()?;
-    Some((acc, ErrorSubspace::from_spread_svd(&svd, SVD_REL_TOL, SVD_MAX_RANK)))
-}
-
-/// Replay the journalled rho sequence to find the member count at which
-/// the run converged under `tolerance` (the Converged record may be
-/// missing if the coordinator died between the SVD append and it).
-fn converged_members_from(rounds: &[SvdRound], tolerance: f64) -> Option<u64> {
-    let mut t = ConvergenceTest::new(tolerance);
-    for r in rounds {
-        // The validator is the one ingestion gate, for derived scalars
-        // too: a journalled NaN rho (coordinator died between appends)
-        // never advances the convergence test.
-        if finite_stat(r.rho).is_pass() && t.check(r.rho) {
-            return Some(r.members);
-        }
-    }
-    None
-}
-
-/// The deterministic checkpoint schedule: every multiple of the SVD
-/// stride plus every stage boundary, ascending, capped at `max`.
-fn checkpoints(initial: usize, max: usize, stages: &[usize]) -> Vec<usize> {
-    let stride = (initial / 2).max(4);
-    let mut cps: BTreeSet<usize> = (1..).map(|k| k * stride).take_while(|&c| c <= max).collect();
-    cps.extend(stages.iter().copied().filter(|&c| c <= max));
-    cps.into_iter().filter(|&c| c >= 2).collect()
-}
-
-/// Subdirectory of the workdir holding per-worker stdio logs and
-/// metric snapshots for the locally spawned fleet.
-pub const WORKER_LOG_DIR: &str = "logs";
-
-/// Log file name for local worker `slot` (respawns of the same slot
-/// append to the same file, so the full slot history reads in order).
-pub fn worker_log_name(slot: usize) -> String {
-    format!("worker-{slot:03}.log")
+fn sibling(name: &str) -> Result<PathBuf, Stop> {
+    let mut exe = std::env::current_exe().ctx("current exe path")?;
+    exe.set_file_name(name);
+    Ok(exe)
 }
 
 fn spawn_local_worker(workdir: &Path, slot: usize) -> Option<Child> {
-    // Capture the worker's stdio into a per-slot log file under the
-    // workdir instead of nulling it. A regular file fd — unlike an
-    // inherited pipe — cannot keep a caller's `output()` on the master
-    // blocked while an orphaned worker outlives the master itself.
+    // Capture the worker's stdio into a per-slot log file (respawns of a
+    // slot append to it). A regular file fd — unlike an inherited pipe
+    // — cannot keep a caller's `output()` on the master blocked while an
+    // orphaned worker outlives the master itself.
     let log_dir = workdir.join(WORKER_LOG_DIR);
-    let log = fs::create_dir_all(&log_dir)
-        .and_then(|()| {
-            fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(log_dir.join(worker_log_name(slot)))
-        })
-        .and_then(|f| {
-            let err = f.try_clone()?;
-            Ok((Stdio::from(f), Stdio::from(err)))
-        });
+    let log = fs::create_dir_all(&log_dir).and_then(|()| {
+        let log = log_dir.join(format!("worker-{slot:03}.log"));
+        let f = fs::OpenOptions::new().create(true).append(true).open(log)?;
+        Ok((Stdio::from(f.try_clone()?), Stdio::from(f)))
+    });
     let (out, err) = log.unwrap_or_else(|e| {
         eprintln!("esse_master: cannot open worker log for slot {slot}: {e}");
         (Stdio::null(), Stdio::null())
     });
-    let mut cmd = Command::new(sibling("esse_worker"));
-    cmd.arg("--workdir")
-        .arg(workdir)
-        .arg("--worker-id")
-        .arg(slot.to_string())
-        .arg("--parent-pid")
-        .arg(std::process::id().to_string())
-        .arg("--poll-ms")
-        .arg("10")
-        .arg("--metrics-out")
-        .arg(log_dir.join(format!("worker-{slot:03}.metrics")))
-        .stdout(out)
-        .stderr(err);
-    match cli::spawn_with_retry(&mut cmd, "esse_worker", None, 3) {
-        Ok(child) => Some(child),
-        Err(e) => {
-            eprintln!("esse_master: {e}");
-            None
-        }
-    }
+    let mut cmd = Command::new(sibling("esse_worker").ok()?);
+    let (slot_id, pid) = (slot.to_string(), std::process::id().to_string());
+    cmd.arg("--workdir").arg(workdir);
+    cmd.args(["--worker-id", &slot_id, "--parent-pid", &pid, "--poll-ms", "10", "--metrics-out"]);
+    cmd.arg(log_dir.join(format!("worker-{slot:03}.metrics"))).stdout(out).stderr(err);
+    cli::spawn_with_retry(&mut cmd, "esse_worker", None, 3)
+        .map_err(|e| eprintln!("esse_master: {e}"))
+        .ok()
 }
 
-/// `--gc` mode: prune the fenced-result history, consumed trace
-/// sidecars and superseded covariance blobs of a completed (or parked)
-/// run, keeping the newest `keep` fenced records for post-mortems.
-/// Takes the workdir lock, so it can never race a live coordinator —
-/// and it never touches records under an active lease, live results,
-/// or anything a `--resume` would need.
-fn run_gc(workdir: &Path, keep: usize) {
-    let _lock = match WorkdirLock::acquire(workdir) {
-        Ok(lock) => lock,
-        Err(LockError::Held { pid }) => {
-            eprintln!(
-                "esse_master: refusing to gc {}: a master is running (pid {})",
-                workdir.display(),
-                pid.map_or_else(|| "unknown".into(), |p| p.to_string())
-            );
-            std::process::exit(3);
-        }
-        Err(e) => {
-            eprintln!("esse_master: cannot acquire master.lock for gc: {e}");
-            std::process::exit(2);
-        }
-    };
-    let (pool, _manifest) = match TaskPool::open(workdir) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("esse_master: no task pool under {}: {e}", workdir.display());
-            std::process::exit(2);
-        }
-    };
-    let report = pool.gc(keep).expect("pool gc");
+fn lock_workdir(workdir: &Path, what: &str) -> Result<WorkdirLock, Stop> {
+    WorkdirLock::acquire(workdir).map_err(|e| match e {
+        // Distinct exit code: two racing `--resume` invocations after a
+        // coordinator crash resolve to exactly one live master, and the
+        // loser must be distinguishable from a config error.
+        LockError::Held { pid } => Stop::Locked(format!(
+            "{what} {}: locked by a running master (pid {})",
+            workdir.display(),
+            pid.map_or_else(|| "unknown".into(), |p| p.to_string())
+        )),
+        e => Stop::Config(format!("cannot acquire master.lock: {e}")),
+    })
+}
+
+/// `--gc` mode: prune fenced results, consumed trace sidecars and
+/// superseded covariance blobs of a completed (or parked) run, keeping
+/// the newest `keep` fenced records. Holds the workdir lock, and never
+/// touches anything under an active lease or that `--resume` needs.
+fn run_gc(workdir: &Path, keep: usize) -> Result<(), Stop> {
+    let _lock = lock_workdir(workdir, "refusing to gc")?;
+    let (pool, _) = TaskPool::open(workdir)
+        .map_err(|e| Stop::Config(format!("no task pool under {}: {e}", workdir.display())))?;
+    let report = pool.gc(keep).ctx("pool gc")?;
     let blobs = DiskTripleBuffer::create(workdir)
         .and_then(|b| b.prune_superseded())
-        .expect("prune covariance blobs");
+        .ctx("prune covariance blobs")?;
     println!(
         "esse_master: gc removed {} fenced result(s), {} trace sidecar(s), \
          {} superseded covariance blob(s) (kept newest {keep})",
         report.stale_results, report.trace_sidecars, blobs
     );
+    Ok(())
 }
 
 fn main() {
+    let Err(stop) = run() else { return };
+    let (code, msg) = match stop {
+        Stop::Config(m) => (2, m),
+        Stop::Locked(m) => (3, m),
+        Stop::Parked(m) => (4, m),
+        Stop::Failed(m) => (1, m),
+        Stop::Io(m) => (101, m),
+    };
+    eprintln!("esse_master: {msg}");
+    std::process::exit(code);
+}
+
+fn run() -> Result<(), Stop> {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = cli::parse_args(&argv);
     let workdir = PathBuf::from(cli::require(&args, "workdir", USAGE));
     if args.contains_key("gc") {
-        run_gc(&workdir, cli::get_or(&args, "gc-keep", 4usize));
-        return;
+        return run_gc(&workdir, cli::get_or(&args, "gc-keep", 4usize));
     }
     let domain = cli::require(&args, "domain", USAGE).to_string();
     let hours: f64 = cli::get_or(&args, "hours", 6.0);
-    let initial: usize = cli::get_or(&args, "initial", 8);
-    let max: usize = cli::get_or(&args, "max", 32);
     let tolerance: f64 = cli::get_or(&args, "tolerance", 0.08);
     // `--children` is the historical spelling from the era when the
     // master forked singletons itself; it now sizes the local worker
@@ -408,38 +390,31 @@ fn main() {
     let white_noise: f64 = cli::get_or(&args, "white-noise", 0.0);
     let base_seed: u64 = cli::get_or(&args, "base-seed", 0x5EED);
     let lease_ms: u64 = cli::get_or(&args, "lease-ms", 1200u64).max(50);
-    let task_attempts: u32 = cli::get_or(&args, "task-attempts", 3u32).max(1);
-    let requeue_budget: u32 = cli::get_or(&args, "requeue-budget", 16u32).max(1);
     let resume = args.contains_key("resume");
-    let force = args.contains_key("force");
-    let crash_after: Option<u64> = args.get("crash-after-appends").and_then(|v| v.parse().ok());
     let trace_out = args.get("trace-out").map(PathBuf::from);
-    let trace_capacity: usize = cli::get_or(&args, "trace-capacity", 1usize << 18);
-    let metrics_out = args.get("metrics-out").map(PathBuf::from);
-    // `--listen 127.0.0.1:0` (port 0 = ephemeral) opens the esse-net
-    // listener: remote workers join the same pool over TCP, multiplexed
-    // alongside the local `--workers` fleet.
-    let listen = args.get("listen").cloned();
-    // `--subspace incremental` switches the checkpoint schedule to the
-    // rank-updating tracker; the default full recompute stays
-    // byte-identical to the historical rebuild-from-disk path.
-    let strategy = args.get("subspace").map_or(SubspaceStrategy::FullRecompute, |v| {
-        parse_subspace_flag(v).unwrap_or_else(|| {
-            eprintln!(
-                "esse_master: bad --subspace value {v:?} \
-                 (want full or incremental[:REFRESH,TOL])"
-            );
-            std::process::exit(2);
-        })
-    });
+    let strategy = match args.get("subspace") {
+        None => SubspaceStrategy::FullRecompute,
+        Some(v) => SubspaceStrategy::parse(v).ok_or_else(|| {
+            Stop::Config(format!(
+                "bad --subspace value {v:?} (want full or incremental[:REFRESH,TOL])"
+            ))
+        })?,
+    };
+    let cfg = CoordinatorConfig {
+        initial: cli::get_or(&args, "initial", 8),
+        max: cli::get_or(&args, "max", 32),
+        tolerance,
+        task_attempts: cli::get_or(&args, "task-attempts", 3u32).max(1),
+        requeue_budget: cli::get_or(&args, "requeue-budget", 16u32).max(1),
+        lease_ms,
+        strategy,
+        base_seed,
+    };
 
-    // The run identity: everything that shapes the numerical result.
-    // Only the knobs that change member *content* are fingerprinted:
-    // a member forecast is a pure function of (domain, hours, noise,
-    // seed). Schedule knobs (initial, max, tolerance) and execution
-    // knobs (workers, lease, resume, force) are deliberately excluded —
-    // a resume may legitimately extend the ensemble, tighten the
-    // tolerance, or use different parallelism.
+    // The run identity: only the knobs that change member *content* (a
+    // forecast is a pure function of domain, hours, noise and seed).
+    // Schedule and execution knobs are excluded — a resume may extend
+    // the ensemble, tighten the tolerance or change parallelism.
     let run_hash = config_hash(&[
         ("domain", domain.clone()),
         ("hours", hours.to_string()),
@@ -447,54 +422,29 @@ fn main() {
         ("base-seed", base_seed.to_string()),
     ]);
 
-    // --- Workdir safety: a typo must not clobber a run (and a fresh
-    // run must not silently mix with a dead one's files). ---
-    let journal_path = workdir.join(JOURNAL);
-    if !resume && workdir.exists() {
-        let non_empty = fs::read_dir(&workdir).map(|mut d| d.next().is_some()).unwrap_or(false);
-        if non_empty {
-            if force {
-                eprintln!("esse_master: --force: clearing existing workdir");
-                fs::remove_dir_all(&workdir).expect("clear workdir");
-            } else {
-                eprintln!(
-                    "esse_master: workdir {} is not empty; \
-                     pass --resume to continue the run or --force to discard it",
-                    workdir.display()
-                );
-                std::process::exit(2);
-            }
+    // --- Workdir safety: a typo must not clobber a run, and a fresh
+    // run must not silently mix with a dead one's files. ---
+    if !resume && fs::read_dir(&workdir).is_ok_and(|mut d| d.next().is_some()) {
+        if !args.contains_key("force") {
+            return Err(Stop::Config(format!(
+                "workdir {} is not empty; \
+                 pass --resume to continue the run or --force to discard it",
+                workdir.display()
+            )));
         }
+        eprintln!("esse_master: --force: clearing existing workdir");
+        fs::remove_dir_all(&workdir).ctx("clear workdir")?;
     }
-    std::fs::create_dir_all(&workdir).expect("create workdir");
-
-    // --- Coordinator exclusion: one live master per workdir. A crashed
-    // master's lock names a dead PID and is broken automatically. ---
-    let _lock = match WorkdirLock::acquire(&workdir) {
-        Ok(lock) => lock,
-        Err(LockError::Held { pid }) => {
-            // Distinct exit code: two racing `--resume` invocations
-            // after a coordinator crash resolve to exactly one live
-            // master; the loser must be distinguishable from config
-            // errors (exit 2) by supervisors that retry the resume.
-            eprintln!(
-                "esse_master: workdir {} is locked by a running master (pid {})",
-                workdir.display(),
-                pid.map_or_else(|| "unknown".into(), |p| p.to_string())
-            );
-            std::process::exit(3);
-        }
-        Err(e) => {
-            eprintln!("esse_master: cannot acquire master.lock: {e}");
-            std::process::exit(2);
-        }
-    };
-
-    let status = StatusDir::open(workdir.join("status")).expect("status dir");
+    fs::create_dir_all(&workdir).ctx("create workdir")?;
+    // One live master per workdir; a crashed master's lock names a dead
+    // PID and is broken automatically.
+    let _lock = lock_workdir(&workdir, "workdir")?;
+    let status = StatusDir::open(workdir.join("status")).ctx("status dir")?;
 
     // --- Journal: create fresh, or replay (truncating any torn tail). ---
+    let journal_path = workdir.join("run.journal");
     let (journal, state) = if resume && journal_path.exists() {
-        let (journal, replay) = Journal::open(&journal_path).expect("open journal");
+        let (journal, replay) = Journal::open(&journal_path).ctx("open journal")?;
         if replay.torn_bytes > 0 {
             eprintln!(
                 "esse_master: truncated {} torn byte(s) from the journal tail",
@@ -502,161 +452,96 @@ fn main() {
             );
         }
         let state = JournalState::replay(&replay.records);
-        match state.config_hash {
-            Some(h) if h == run_hash => {}
-            Some(h) => {
-                eprintln!(
-                    "esse_master: journal belongs to a different run \
-                     (config hash {h:#018x} != {run_hash:#018x}); refusing to mix results"
-                );
-                std::process::exit(2);
-            }
-            None => {}
+        if let Some(h) = state.config_hash.filter(|&h| h != run_hash) {
+            return Err(Stop::Config(format!(
+                "journal belongs to a different run \
+                 (config hash {h:#018x} != {run_hash:#018x}); refusing to mix results"
+            )));
         }
         (journal, state)
     } else {
-        let journal = Journal::create(&journal_path).expect("create journal");
-        (journal, JournalState::replay(&[]))
+        (Journal::create(&journal_path).ctx("create journal")?, JournalState::default())
     };
-    let journal = MasterJournal { journal, appends: Cell::new(0), crash_after };
     if let Some(n) = args.get("fail-appends").and_then(|v| v.parse().ok()) {
         // Storage-fault injection: the N-th append of this incarnation
-        // (and everything after) errors like a full disk, driving the
-        // clean-park path above.
-        journal.journal.inject_write_error_after(n);
+        // (and everything after) fails like a full disk.
+        journal.inject_write_error_after(n);
     }
-    if state.config_hash.is_none() {
-        journal.append(&JournalRecord::RunStart { config_hash: run_hash });
-    }
-    if let Some(members) = state.complete {
-        // A finished incarnation is only terminal if it still satisfies
-        // what *this* invocation asks for; a resume with a larger
-        // ensemble or a tighter tolerance legitimately extends the run.
-        let satisfied = ConvergenceTest::restore(tolerance, &state.rho_history()).converged()
-            || state.completed.len() >= max;
-        if satisfied {
-            // A durable no-op: nothing journalled, so the incarnation
-            // count keeps meaning "coordinators that ran the pool" —
-            // resuming a finished run takes over nothing.
+    let crash_after = args.get("crash-after-appends").and_then(|v| v.parse().ok());
+    let mut journal = MasterJournal { journal, appends: 0, crash_after };
+    let incarnation = match Coordinator::opening(&state, run_hash, &cfg) {
+        Opening::Complete(members) => {
             println!("esse_master: run already complete ({members} members); nothing to do");
-            return;
+            return Ok(());
         }
-        println!(
-            "esse_master: completed run falls short of the requested schedule \
-             (max {max}, tolerance {tolerance}); extending"
-        );
-    }
-    // Every working (re)start journals its incarnation number before
-    // touching the pool: the TCP endpoint generation, the incarnation
-    // gauge and the trace labels all derive from it, and replay
-    // recovers the high-water mark so a resumed resume keeps counting
-    // up.
-    let incarnation = state.incarnations + 1;
-    journal.append(&JournalRecord::CoordinatorStarted { incarnation });
+        Opening::Run(records, incarnation) => {
+            if state.complete.is_some() {
+                println!(
+                    "esse_master: completed run falls short of the requested schedule \
+                     (max {}, tolerance {tolerance}); extending",
+                    cfg.max
+                );
+            }
+            for rec in &records {
+                journal.append(rec)?;
+            }
+            incarnation
+        }
+    };
     if incarnation > 1 {
         println!("esse_master: coordinator incarnation {incarnation} (resuming a crashed run)");
     }
 
-    // --- Observability: trace ring + metrics registry. ---
-    // The ring is Arc-shared because esse-net connection threads record
-    // into it alongside the coordinator loop.
-    let ring = std::sync::Arc::new(RingRecorder::with_capacity(trace_capacity));
+    // --- Observability: trace ring (shared with esse-net connection
+    // threads) and metrics registry. Every span id derives from the
+    // trace run id, so a batch from another run can never merge here. ---
+    let ring = Arc::new(RingRecorder::with_capacity(cli::get_or(&args, "trace-capacity", 1 << 18)));
     let rec: &dyn Recorder = if trace_out.is_some() { ring.as_ref() } else { &NULL };
     let metrics = MetricsRegistry::new();
-    let m_granted = metrics.counter("esse_pool_lease_granted_total");
-    let m_renewed = metrics.counter("esse_pool_lease_renewed_total");
-    let m_expired = metrics.counter("esse_pool_lease_expired_total");
-    let m_fenced = metrics.counter("esse_pool_fencing_rejected_total");
-    let m_seeded = metrics.counter("esse_pool_tasks_seeded_total");
-    let m_ingested = metrics.counter("esse_pool_results_ingested_total");
-    let m_quarantined = metrics.counter("esse_quarantined_total");
-    let m_replaced = metrics.counter("esse_replaced_total");
-    let m_batches = metrics.counter("esse_fleet_trace_batches_total");
-    let m_rejected = metrics.counter("esse_fleet_trace_batches_rejected_total");
-    let m_merged = metrics.counter("esse_fleet_spans_merged_total");
-    metrics.gauge("esse_master_incarnation").set(incarnation as f64);
-
-    // The fleet-wide trace run id: nonzero iff tracing is on. Workers
-    // read it from the manifest — no flag of their own — and every
-    // parent span id a task record carries is derived from it, so a
-    // batch from a stale run (or a run with tracing off) can never be
-    // merged into this run's timeline.
-    let trace_run: u64 =
-        if trace_out.is_some() { esse_obs::fleet::run_id(run_hash as u32, base_seed) } else { 0 };
-    let span_for = |m: u64, epoch: u32| -> u64 {
-        if trace_run != 0 {
-            esse_obs::fleet::span_id(trace_run, m, epoch)
-        } else {
-            0
-        }
-    };
-    if incarnation > 1 {
-        rec.instant_at(
-            rec.now_ns(),
-            Lane::Coordinator,
-            "coordinator",
-            "restart",
-            vec![("incarnation", incarnation.into())],
-        );
+    for name in COUNTERS {
+        metrics.counter(name);
     }
+    metrics.gauge("esse_master_incarnation").set(incarnation as f64);
+    let trace_run =
+        if trace_out.is_some() { esse_obs::fleet::run_id(run_hash as u32, base_seed) } else { 0 };
 
-    // --- Setup: model, mean, prior. ---
-    let (model, st0) = cli::build_model(&domain).unwrap_or_else(|e| {
-        eprintln!("esse_master: {e}");
-        std::process::exit(2);
-    });
+    // --- Setup: model, mean, prior, central forecast. ---
+    let (model, st0) = cli::build_model(&domain).map_err(Stop::Config)?;
     let mean_path = workdir.join(files::MEAN);
     let prior_path = workdir.join(files::PRIOR);
     if !resume || !mean_path.exists() {
-        fileio::write_vector(&mean_path, &st0.pack()).expect("write mean");
+        fileio::write_vector(&mean_path, &st0.pack()).ctx("write mean")?;
     }
     if !resume || !prior_path.exists() {
         let prior =
             esse::core::priors::smooth_temperature_prior(&model.grid, 12, 0.5, 2.5, base_seed);
-        fileio::write_subspace(&prior_path, &prior).expect("write prior");
+        fileio::write_subspace(&prior_path, &prior).ctx("write prior")?;
     }
-    let prior = fileio::read_subspace(&prior_path).expect("read prior");
+    let prior = fileio::read_subspace(&prior_path).ctx("read prior")?;
+    let central_path = workdir.join(files::CENTRAL);
+    if !central_path.exists() {
+        let mut cmd = Command::new(sibling("pemodel")?);
+        cmd.arg("--workdir").arg(&workdir);
+        cmd.args(["--domain", &domain, "--hours", &hours.to_string(), "--central"]);
+        let mut child = cli::spawn_with_retry(&mut cmd, "central pemodel", None, 3)
+            .map_err(|e| Stop::Failed(e.to_string()))?;
+        if !child.wait().ctx("wait central pemodel")?.success() {
+            return Err(Stop::Failed("central forecast failed".into()));
+        }
+    }
+    let central = fileio::read_vector(&central_path).ctx("read central")?;
+    // The same validator the workers run before publishing, rebuilt
+    // from the same inputs (never trust the wire).
+    let mean = fileio::read_vector(&mean_path).ctx("read mean")?;
+    let validator = ForecastValidator::for_scenario(
+        &model.grid,
+        &[&mean, &central],
+        &prior,
+        ValidatorConfig::default(),
+    );
     let gen = PerturbationGenerator::new(
         &prior,
         PerturbConfig { white_noise, base_seed, frozen_indices: Vec::new() },
-    );
-
-    // --- Central forecast (deterministic; reused on resume). ---
-    let central_path = workdir.join(files::CENTRAL);
-    if !central_path.exists() {
-        let mut cmd = Command::new(sibling("pemodel"));
-        cmd.arg("--workdir")
-            .arg(&workdir)
-            .arg("--domain")
-            .arg(&domain)
-            .arg("--hours")
-            .arg(hours.to_string())
-            .arg("--central");
-        let ok = match cli::spawn_with_retry(&mut cmd, "central pemodel", None, 3) {
-            Ok(mut child) => child.wait().expect("wait central pemodel").success(),
-            Err(e) => {
-                eprintln!("esse_master: {e}");
-                false
-            }
-        };
-        if !ok {
-            eprintln!("esse_master: central forecast failed");
-            std::process::exit(1);
-        }
-    }
-    let central = fileio::read_vector(&central_path).expect("read central");
-
-    // --- The semantic ingestion gate. The same validator the workers
-    // run before publishing is rebuilt here from the same inputs
-    // (defense in depth: never trust the wire): physical bounds come
-    // from the mean and central states widened by the prior spread, and
-    // the ensemble-outlier statistics fold over the decided prefix. ---
-    let mean_vec = fileio::read_vector(&mean_path).expect("read mean");
-    let mut validator = ForecastValidator::for_scenario(
-        &model.grid,
-        &[&mean_vec, &central],
-        &prior,
-        ValidatorConfig::default(),
     );
 
     // --- The task pool: the contract every worker reads. ---
@@ -669,822 +554,189 @@ fn main() {
         config_hash: run_hash,
         trace_run_id: trace_run,
     };
-    let pool = TaskPool::create(&workdir, &manifest).expect("create task pool");
+    let pool = TaskPool::create(&workdir, &manifest).ctx("create task pool")?;
     // A previous incarnation may have left CANCEL/SHUTDOWN behind.
-    pool.clear_tombstones().expect("clear tombstones");
+    pool.clear_tombstones().ctx("clear tombstones")?;
+    // Remote workers claim, renew and publish through per-connection
+    // proxy threads against this same pool, so local and remote
+    // claimers are arbitrated by one atomic rename.
+    let mut net_server = match args.get("listen") {
+        None => None,
+        Some(addr) => {
+            let recorder: Arc<dyn Recorder + Send + Sync> =
+                if trace_out.is_some() { ring.clone() } else { Arc::new(NULL) };
+            let server = esse::net::NetServer::start(esse::net::ServerConfig {
+                pool: pool.clone(),
+                manifest: manifest.clone(),
+                workdir: workdir.clone(),
+                listen: addr.clone(),
+                generation: incarnation,
+                metrics: esse::net::NetMetrics::from_registry(&metrics),
+                recorder,
+            })
+            .map_err(|e| Stop::Config(format!("cannot listen for remote workers: {e}")))?;
+            println!("esse_master: listening for remote workers on {}", server.local_addr());
+            Some(server)
+        }
+    };
 
-    // --- The esse-net listener: remote workers claim, renew and
-    // publish through per-connection proxy threads against this same
-    // pool, so local and remote claimers are arbitrated by one atomic
-    // rename and the master loop below stays transport-blind. ---
-    let mut net_server = listen.map(|addr| {
-        let recorder: std::sync::Arc<dyn Recorder + Send + Sync> =
-            if trace_out.is_some() { ring.clone() } else { std::sync::Arc::new(NULL) };
-        let server = esse::net::NetServer::start(esse::net::ServerConfig {
-            pool: pool.clone(),
-            manifest: manifest.clone(),
-            workdir: workdir.clone(),
-            listen: addr,
-            generation: incarnation,
-            metrics: esse::net::NetMetrics::from_registry(&metrics),
-            recorder,
-        })
-        .unwrap_or_else(|e| {
-            eprintln!("esse_master: cannot listen for remote workers: {e}");
-            std::process::exit(2);
-        });
-        println!("esse_master: listening for remote workers on {}", server.local_addr());
-        server
-    });
-    // Recover the authoritative fencing-epoch map from the pool dirs,
-    // then raise it to the journal's high-water marks. The pool scan
-    // alone is not enough after a crash: a consumed result leaves no
-    // pending/claim/result file behind, so a member whose epoch-3
-    // result was ingested just before the crash would rewind to epoch
-    // 0 and its next seed (epoch 1) could be satisfied by an epoch-1
-    // zombie still running from two requeues ago. Every `EpochAdvanced`
-    // is journalled *before* the corresponding seed, so any replayed
-    // prefix covers every epoch a worker could ever have observed.
-    let mut epochs: HashMap<u64, u32> = pool.epochs().expect("recover epochs");
-    for &(m, hw) in &state.epoch_high_water {
-        let e = epochs.entry(m).or_insert(0);
-        *e = (*e).max(hw);
+    // --- The coordinator core, resumed from the journal. Legacy
+    // workdirs (no journal before this run) migrate their §4.2 status
+    // records forward. ---
+    let legacy: Vec<u64> = if resume && state.config_hash.is_none() && state.completed.is_empty() {
+        status.scan().ctx("scan status")?.0.into_iter().map(|m| m as u64).collect()
+    } else {
+        Vec::new()
+    };
+    let pool_epochs = pool.epochs().ctx("recover epochs")?;
+    // Each forecast file is read and CRC-checked once, when the core asks.
+    let mut forecasts = |m: u64| {
+        fileio::read_vector_crc(workdir.join(files::fc(m as usize))).map_err(|e| e.to_string())
+    };
+    let (mut core, opening) =
+        Coordinator::start(cfg, &state, pool_epochs, &legacy, central, validator, &mut forecasts);
+    let mut exec = Executor {
+        workdir: &workdir,
+        pool: &pool,
+        journal,
+        status,
+        covariance: DiskTripleBuffer::create(&workdir).ctx("safe/live covariance files")?,
+        gen,
+        metrics: &metrics,
+        rec,
+        trace_run,
+        incarnation,
+        tolerance,
+        cancelled: 0,
+    };
+    if incarnation > 1 {
+        exec.instant("coordinator", "restart", vec![("incarnation", incarnation.into())]);
     }
     if trace_run != 0 && incarnation > 1 {
-        // Re-emit a `task_seeded` instant for every epoch issued by an
-        // earlier incarnation: worker span batches that were published
-        // across the crash boundary still merge at wind-down, and their
-        // parent edges must find a coordinator-side enqueue with the
-        // same span id. Span ids are pure in (trace_run, member, epoch)
-        // and trace_run is derived from the config hash, so these
-        // reconstructed instants carry exactly the ids the lost
-        // originals did — the orphan-edge validator stays at zero.
-        let mut inherited: Vec<(u64, u32)> = epochs.iter().map(|(&m, &e)| (m, e)).collect();
+        // Re-emit `task_seeded` for every epoch an earlier incarnation
+        // handed out, so span batches published across the crash boundary
+        // still find their parent edge.
+        let mut inherited: Vec<(u64, u32)> = core.epochs().iter().map(|(&m, &e)| (m, e)).collect();
         inherited.sort_unstable();
         for (m, hw) in inherited {
-            for ep in 1..=hw {
-                rec.instant_at(
-                    rec.now_ns(),
-                    Lane::Coordinator,
-                    "pool",
-                    "task_seeded",
-                    vec![
-                        ("member", m.into()),
-                        ("epoch", (ep as u64).into()),
-                        ("span", span_for(m, ep).into()),
-                        ("incarnation", incarnation.into()),
-                    ],
-                );
-            }
+            (1..=hw).for_each(|ep| exec.seeded_instant(m, ep));
         }
     }
-
-    // --- Resume: fold journalled members back in, checksum-validating
-    // every forecast file. Corrupt or missing files are quarantined and
-    // the member is requeued — never silently ingested (§4.2). ---
-    let mut book = MemberBook::default();
-    // Quarantine bookkeeping: every member ever quarantined (journal
-    // history included, so resume keeps the healed/lost split honest)
-    // and the members this incarnation lost to the replacement budget.
-    let mut quarantined_members: BTreeSet<u64> =
-        state.quarantine_reasons.iter().map(|&(m, _)| m).collect();
-    let mut quarantined_lost = 0usize;
-    let mut resumed = 0usize;
-    if resume {
-        for (m, attempts) in &state.completed {
-            match fileio::read_vector(workdir.join(files::fc(*m as usize))) {
-                Ok(xf) => {
-                    book.completed.insert(*m, *attempts);
-                    validator.note_decided(*m, &xf);
-                    resumed += 1;
-                }
-                Err(e) => {
-                    quarantine_member(
-                        &workdir,
-                        &journal,
-                        *m as usize,
-                        Reason::CorruptPayload.code(),
-                        &e.to_string(),
-                    );
-                    quarantined_members.insert(*m);
-                }
-            }
-        }
-        for m in &state.failed {
-            book.failed.insert(*m);
-        }
-        // Legacy workdirs (journal created just now): fall back to the
-        // §4.2 per-member status records, migrating them forward.
-        if state.completed.is_empty() && state.config_hash.is_none() {
-            let (ok, _failed) = status.scan().expect("scan status");
-            for member in ok {
-                match fileio::read_vector(workdir.join(files::fc(member))) {
-                    Ok(xf) => {
-                        journal.append(&JournalRecord::MemberCompleted {
-                            member: member as u64,
-                            attempts: 1,
-                        });
-                        book.completed.insert(member as u64, 1);
-                        validator.note_decided(member as u64, &xf);
-                        resumed += 1;
-                    }
-                    Err(e) => {
-                        quarantine_member(
-                            &workdir,
-                            &journal,
-                            member,
-                            Reason::CorruptPayload.code(),
-                            &e.to_string(),
-                        );
-                        quarantined_members.insert(member as u64);
-                    }
-                }
-            }
-        }
-    }
+    exec.run(opening)?;
+    let ledger = core.ledger();
     println!(
-        "esse_master: starting with {} members in the differ (resumed {resumed})",
-        book.completed.len()
+        "esse_master: starting with {} members in the differ (resumed {})",
+        ledger.completed, ledger.resumed
     );
 
-    // --- Convergence state, restored from the journal. The `previous`
-    // subspace is rebuilt deterministically from forecast files at the
-    // next checkpoint, never trusted from a half-published disk state. ---
-    let disk_cov = DiskTripleBuffer::create(&workdir).expect("safe/live covariance files");
-    let mut conv = ConvergenceTest::restore(tolerance, &state.rho_history());
-    let mut converged = conv.converged();
-    let mut converged_members: Option<u64> = if converged {
-        state
-            .converged
-            .map(|(m, _)| m)
-            .or_else(|| converged_members_from(&state.svd_rounds, tolerance))
-    } else {
-        None
-    };
-    let mut fired: BTreeSet<u64> = state.svd_rounds.iter().map(|r| r.members).collect();
-    let mut last_fired: Option<u64> = state.svd_rounds.last().map(|r| r.members);
-    let mut previous: Option<(u64, ErrorSubspace)> = None;
-    let mut svd_version: u64 = state.svd_rounds.last().map_or(0, |r| r.version);
-    // Incremental strategy: one persistent tracker folds each newly
-    // decided prefix member exactly once across checkpoints (the prefix
-    // is append-only, so the fold order is deterministic under any
-    // worker interleaving). FullRecompute keeps the historical
-    // rebuild-from-disk path byte-for-byte.
-    let mut inc_est: Option<Box<dyn SubspaceEstimator>> = match strategy {
-        SubspaceStrategy::Incremental { .. } => Some(make_estimator(
-            &strategy,
-            central.clone(),
-            SVD_REL_TOL,
-            SVD_MAX_RANK,
-            LinalgCtx::default(),
-        )),
-        SubspaceStrategy::FullRecompute => None,
-    };
-
-    // --- Schedule + checkpoints. ---
-    let schedule = EnsembleSchedule::new(initial, max);
-    let stages = schedule.stages();
-    let cps = checkpoints(initial, max, &stages);
-    let mut stage_idx = 0usize;
-    while stage_idx + 1 < stages.len() && (0..stages[stage_idx] as u64).all(|m| book.decided(m)) {
-        stage_idx += 1;
-    }
-
-    // --- Local worker fleet (the pool is agnostic: any number of
-    // external esse_worker processes may also claim tasks). ---
+    // --- The loop: keep the local fleet at strength, scan, act. ---
     let mut fleet: Vec<Option<Child>> = (0..workers).map(|_| None).collect();
-    let mut worker_spawns = 0usize;
-    let spawn_budget = workers * 8;
-    let retry =
-        RetryPolicy::retries(task_attempts).with_backoff(Duration::from_millis(20), 2.0, 0.0);
-    let mut rng = StdRng::seed_from_u64(base_seed ^ 0x00D1_7A5C);
-    let mut watch = LeaseWatch::new();
-    if incarnation > 1 {
-        // Rebase the lease watch onto this incarnation's clock (a fresh
-        // watch is already rebased; the call pins the restart contract):
-        // a surviving worker's advancing heartbeat re-earns a full lease
-        // at first observation under the new `t0`, while a worker that
-        // died with the old coordinator holds a frozen counter and still
-        // expires exactly one lease later. Pre-crash `last-advance`
-        // timestamps are never compared against the new clock.
-        watch.rebase();
-    }
+    let mut spawns = 0usize;
     let t0 = Instant::now();
-    let mut cancelled_tasks = 0usize;
-
     loop {
-        // Keep the local fleet at strength (bounded respawn: a worker
-        // that keeps dying must not fork-bomb the host).
-        if !converged {
-            for (slot, entry) in fleet.iter_mut().enumerate() {
-                let dead = match entry {
-                    Some(child) => child.try_wait().expect("poll worker").is_some(),
-                    None => true,
-                };
-                if dead && worker_spawns < spawn_budget.max(workers) {
-                    *entry = spawn_local_worker(&workdir, slot);
-                    if entry.is_some() {
-                        worker_spawns += 1;
-                        rec.instant_at(
-                            rec.now_ns(),
-                            Lane::Coordinator,
-                            "pool",
-                            "worker_spawned",
-                            vec![("slot", (slot as u64).into())],
-                        );
-                    }
-                }
-            }
-        }
-
-        let scan = pool.scan().expect("scan pool");
-        let mut outstanding: HashSet<u64> = HashSet::new();
-        for t in &scan.pending {
-            outstanding.insert(t.member);
-        }
-        for c in &scan.claims {
-            outstanding.insert(c.spec.member);
-        }
-
-        // --- Ingest published results. ---
-        for r in &scan.results {
-            let m = r.member;
-            let current = epochs.get(&m).copied().unwrap_or(0);
-            if r.epoch != current {
-                // Fencing: a zombie worker published after its lease
-                // expired and the task was requeued. Never ingested.
-                m_fenced.inc();
-                rec.instant_at(
-                    rec.now_ns(),
-                    Lane::Coordinator,
-                    "pool",
-                    "fencing_rejected",
-                    vec![
-                        ("member", m.into()),
-                        ("epoch", (r.epoch as u64).into()),
-                        ("current", (current as u64).into()),
-                    ],
-                );
-                eprintln!(
-                    "esse_master: fenced stale result for member {m} (epoch {} != current {})",
-                    r.epoch, current
-                );
-                pool.fence_result(r).expect("fence result");
-                continue;
-            }
-            if book.decided(m) {
-                pool.consume_result(r).expect("consume duplicate result");
-                continue;
-            }
-            // Bookkeeping spec: names the claim/result files (member +
-            // epoch only), so the parent span is irrelevant here.
-            let spec = TaskSpec {
-                member: m,
-                epoch: r.epoch,
-                seed: gen.forecast_seed(m as usize),
-                parent_span: 0,
+        // Bounded respawn: a worker that keeps dying must not fork-bomb
+        // the host.
+        for (slot, entry) in fleet.iter_mut().enumerate() {
+            let alive = match entry {
+                Some(child) => child.try_wait().ctx("poll worker")?.is_none(),
+                None => false,
             };
-            if r.code == 0 || r.code == CODE_REJECTED {
-                // The single ingestion gate, run before the journal
-                // commit point: structural checks (the worker's recorded
-                // CRC against the bytes on disk now) chain straight into
-                // the semantic validator, and a worker's own REJECTED
-                // self-check verdict folds into the same path — one
-                // gate, one journal record, one replacement schedule.
-                let gate: Result<Vec<f64>, (u32, String)> = if r.code == CODE_REJECTED {
-                    Err((
-                        r.reason,
-                        format!(
-                            "worker self-check rejection ({})",
-                            Reason::from_code(r.reason).describe()
-                        ),
-                    ))
-                } else {
-                    fileio::vector_file_crc(workdir.join(files::fc(m as usize)))
-                        .map_err(|e| e.to_string())
-                        .and_then(|crc| {
-                            if crc == r.fc_crc {
-                                Ok(())
-                            } else {
-                                Err(format!(
-                                    "forecast CRC {crc:#010x} != result record {:#010x}",
-                                    r.fc_crc
-                                ))
-                            }
-                        })
-                        .and_then(|()| {
-                            fileio::read_vector(workdir.join(files::fc(m as usize)))
-                                .map_err(|e| e.to_string())
-                        })
-                        .map_err(|why| (Reason::CorruptPayload.code(), why))
-                        .and_then(|xf| match validator.validate_member(m, &xf) {
-                            Verdict::Pass => Ok(xf),
-                            Verdict::Quarantine(reason) => Err((
-                                reason.code(),
-                                format!("failed semantic validation: {}", reason.describe()),
-                            )),
-                        })
-                };
-                match gate {
-                    Ok(xf) => {
-                        let attempts = book.attempts.get(&m).copied().unwrap_or(0) + 1;
-                        status.record(m as usize, ExitStatus::Success).expect("record");
-                        journal.append(&JournalRecord::MemberCompleted { member: m, attempts });
-                        book.completed.insert(m, attempts);
-                        validator.note_decided(m, &xf);
-                        m_ingested.inc();
-                        rec.instant_at(
-                            rec.now_ns(),
-                            Lane::Coordinator,
-                            "pool",
-                            "result_ingested",
-                            vec![("member", m.into()), ("epoch", (r.epoch as u64).into())],
-                        );
-                        // A worker that shipped its span batch leaves a
-                        // `.trace` sidecar next to the result; note its
-                        // arrival live, attributed to the shipping
-                        // worker (the merge itself is deferred to
-                        // wind-down so a straggler batch still counts).
-                        if trace_run != 0 {
-                            let batch = pool.trace_sidecar_for(m, r.epoch).and_then(|p| {
-                                fs::read(&p)
-                                    .ok()
-                                    .and_then(|b| esse_obs::fleet::SpanBatch::decode(&b).ok())
-                            });
-                            if let Some(batch) = batch {
-                                rec.instant_at(
-                                    rec.now_ns(),
-                                    Lane::Coordinator,
-                                    "fleet",
-                                    "batch",
-                                    vec![
-                                        ("member", m.into()),
-                                        ("epoch", (r.epoch as u64).into()),
-                                        ("worker", (batch.worker_id as u64).into()),
-                                    ],
-                                );
-                            }
-                        }
-                    }
-                    Err((reason, why)) => {
-                        quarantine_member(&workdir, &journal, m as usize, reason, &why);
-                        quarantined_members.insert(m);
-                        m_quarantined.inc();
-                        rec.instant_at(
-                            rec.now_ns(),
-                            Lane::Coordinator,
-                            "fault",
-                            "member_quarantined",
-                            vec![
-                                ("member", m.into()),
-                                ("epoch", (r.epoch as u64).into()),
-                                ("reason", (reason as u64).into()),
-                            ],
-                        );
-                        let requeues = book.requeues.get(&m).copied().unwrap_or(0) + 1;
-                        book.requeues.insert(m, requeues);
-                        if requeues > requeue_budget {
-                            // Replacements could not heal the member:
-                            // journal the permanent loss under its own
-                            // code so the degraded-health breakdown can
-                            // tell quarantine losses from lease losses.
-                            journal.append(&JournalRecord::MemberFailed {
-                                member: m,
-                                code: CODE_QUARANTINE_BUDGET,
-                            });
-                            book.failed.insert(m);
-                            quarantined_lost += 1;
-                            eprintln!(
-                                "esse_master: member {m} lost to quarantine \
-                                 after {requeues} replacement(s)"
-                            );
-                        } else {
-                            // Self-healing: requeue at the next fencing
-                            // epoch so the quarantined payload can never
-                            // race its replacement into the SVD. The
-                            // replacement reuses the member's canonical
-                            // seed — a healed run's posterior is
-                            // byte-identical to a corruption-free one.
-                            let next = TaskSpec {
-                                epoch: current + 1,
-                                parent_span: span_for(m, current + 1),
-                                ..spec
-                            };
-                            // Journal the epoch before the seed (WAL
-                            // order): a crash between the two costs one
-                            // unused epoch, never an epoch a worker saw
-                            // but the journal did not.
-                            journal.append(&JournalRecord::EpochAdvanced {
-                                member: m,
-                                epoch: next.epoch,
-                            });
-                            pool.seed(&next).expect("requeue quarantined member");
-                            epochs.insert(m, next.epoch);
-                            outstanding.insert(m);
-                            m_seeded.inc();
-                            rec.instant_at(
-                                rec.now_ns(),
-                                Lane::Coordinator,
-                                "pool",
-                                "replacement_scheduled",
-                                vec![
-                                    ("member", m.into()),
-                                    ("epoch", (next.epoch as u64).into()),
-                                    ("reason", (reason as u64).into()),
-                                ],
-                            );
-                            rec.instant_at(
-                                rec.now_ns(),
-                                Lane::Coordinator,
-                                "pool",
-                                "task_seeded",
-                                vec![
-                                    ("member", m.into()),
-                                    ("epoch", (next.epoch as u64).into()),
-                                    ("span", next.parent_span.into()),
-                                    ("incarnation", incarnation.into()),
-                                ],
-                            );
-                        }
-                    }
-                }
-                pool.consume_result(r).expect("consume result");
-                pool.remove_claim(&spec).expect("drop ingested claim");
-                watch.forget(m);
-            } else {
-                // A real (deterministic) task failure: count it against
-                // the task-attempt budget.
-                let attempts = book.attempts.get(&m).copied().unwrap_or(0) + 1;
-                book.attempts.insert(m, attempts);
-                status.record(m as usize, ExitStatus::Failed(r.code)).expect("record");
-                pool.consume_result(r).expect("consume result");
-                pool.remove_claim(&spec).expect("drop failed claim");
-                watch.forget(m);
-                if attempts >= task_attempts {
-                    journal.append(&JournalRecord::MemberFailed { member: m, code: r.code });
-                    book.failed.insert(m);
-                    eprintln!(
-                        "esse_master: member {m} failed permanently (code {}, {attempts} attempts)",
-                        r.code
-                    );
-                } else {
-                    book.hold_until
-                        .insert(m, Instant::now() + retry.backoff_delay(attempts, &mut rng));
+            if !alive && !core.converged() && spawns < workers * 8 {
+                *entry = spawn_local_worker(&workdir, slot);
+                if entry.is_some() {
+                    spawns += 1;
+                    exec.instant("pool", "worker_spawned", vec![("slot", (slot as u64).into())]);
                 }
             }
         }
-
-        // --- Lease watchdog: reclaim claims whose heartbeat stalled. ---
+        let scan = pool.scan().ctx("scan pool")?;
         let now_ms = t0.elapsed().as_millis() as u64;
-        for c in &scan.claims {
-            let m = c.spec.member;
-            let current = epochs.get(&m).copied().unwrap_or(0);
-            if book.decided(m) || c.spec.epoch != current {
-                // Leftover claim of an ingested or already-requeued
-                // incarnation; sweep it.
-                pool.remove_claim(&c.spec).expect("sweep stale claim");
-                continue;
-            }
-            let counter = c.heartbeat.map(|hb| hb.counter);
-            match watch.observe(m, c.spec.epoch, counter, now_ms, lease_ms) {
-                LeaseState::Granted => {
-                    m_granted.inc();
-                    rec.instant_at(
-                        rec.now_ns(),
-                        Lane::Coordinator,
-                        "pool",
-                        "lease_granted",
-                        vec![("member", m.into()), ("epoch", (c.spec.epoch as u64).into())],
-                    );
-                }
-                LeaseState::Renewed => {
-                    m_renewed.inc();
-                }
-                LeaseState::Held => {}
-                LeaseState::Expired => {
-                    m_expired.inc();
-                    rec.instant_at(
-                        rec.now_ns(),
-                        Lane::Coordinator,
-                        "pool",
-                        "lease_expired",
-                        vec![("member", m.into()), ("epoch", (c.spec.epoch as u64).into())],
-                    );
-                    let requeues = book.requeues.get(&m).copied().unwrap_or(0) + 1;
-                    book.requeues.insert(m, requeues);
-                    if requeues > requeue_budget {
-                        journal.append(&JournalRecord::MemberFailed {
-                            member: m,
-                            code: CODE_LEASE_BUDGET,
-                        });
-                        book.failed.insert(m);
-                        pool.remove_claim(&c.spec).expect("drop abandoned claim");
-                        eprintln!(
-                            "esse_master: member {m} abandoned after {requeues} lease expiries"
-                        );
-                        continue;
-                    }
-                    eprintln!(
-                        "esse_master: lease expired for member {m} (epoch {}); requeueing at epoch {}",
-                        c.spec.epoch,
-                        current + 1
-                    );
-                    // Seed the successor FIRST, then drop the dead
-                    // claim: there is never a moment where the member
-                    // has no incarnation on disk.
-                    let next = TaskSpec {
-                        member: m,
-                        epoch: current + 1,
-                        seed: gen.forecast_seed(m as usize),
-                        parent_span: span_for(m, current + 1),
-                    };
-                    journal.append(&JournalRecord::EpochAdvanced { member: m, epoch: next.epoch });
-                    pool.seed(&next).expect("requeue expired member");
-                    epochs.insert(m, next.epoch);
-                    outstanding.insert(m);
-                    m_seeded.inc();
-                    rec.instant_at(
-                        rec.now_ns(),
-                        Lane::Coordinator,
-                        "pool",
-                        "task_seeded",
-                        vec![
-                            ("member", m.into()),
-                            ("epoch", (next.epoch as u64).into()),
-                            ("span", next.parent_span.into()),
-                            ("incarnation", incarnation.into()),
-                        ],
-                    );
-                    pool.remove_claim(&c.spec).expect("drop expired claim");
-                    watch.forget(m);
-                }
-            }
-        }
-
-        // --- Seed missing tasks for the current stage target. ---
-        if !converged {
-            let target = stages[stage_idx] as u64;
-            for m in 0..target {
-                if book.decided(m) || outstanding.contains(&m) {
-                    continue;
-                }
-                if book.hold_until.get(&m).is_some_and(|t| Instant::now() < *t) {
-                    continue;
-                }
-                let epoch = epochs.get(&m).copied().unwrap_or(0) + 1;
-                let spec = TaskSpec {
-                    member: m,
-                    epoch,
-                    seed: gen.forecast_seed(m as usize),
-                    parent_span: span_for(m, epoch),
-                };
-                journal.append(&JournalRecord::EpochAdvanced { member: m, epoch });
-                pool.seed(&spec).expect("seed task");
-                epochs.insert(m, epoch);
-                outstanding.insert(m);
-                m_seeded.inc();
-                rec.instant_at(
-                    rec.now_ns(),
-                    Lane::Coordinator,
-                    "pool",
-                    "task_seeded",
-                    vec![
-                        ("member", m.into()),
-                        ("epoch", (epoch as u64).into()),
-                        ("span", spec.parent_span.into()),
-                        ("incarnation", incarnation.into()),
-                    ],
-                );
-            }
-        }
-
-        // --- Continuous SVD + convergence at decided-prefix
-        // checkpoints (deterministic under any worker interleaving). ---
-        let eligible = book.prefix_eligible();
-        for &cp in &cps {
-            if converged {
-                break;
-            }
-            let c = cp as u64;
-            if fired.contains(&c) || eligible.len() < cp {
-                continue;
-            }
-            // Rebuild the previous checkpoint's estimate if this
-            // incarnation has not computed it yet (fresh resume).
-            if previous.as_ref().map(|(m, _)| *m) != last_fired {
-                previous = last_fired.map(|p| {
-                    let (_, sub) = subspace_over(&workdir, &central, &eligible[..p as usize])
-                        .expect("rebuild previous checkpoint");
-                    (p, sub)
-                });
-            }
-            let estimate = match inc_est.as_mut() {
-                Some(est) => {
-                    for &m in &eligible[est.count()..cp] {
-                        let xf = fileio::read_vector(workdir.join(files::fc(m as usize)))
-                            .expect("re-read forecast");
-                        est.add_member(m as usize, &xf);
-                    }
-                    let update = est.estimate().unwrap_or_else(|e| {
-                        eprintln!("esse_master: incremental subspace update failed: {e}");
-                        std::process::exit(1);
-                    });
-                    let Some(update) = update else {
-                        break;
-                    };
-                    rec.instant_at(
-                        rec.now_ns(),
-                        Lane::Coordinator,
-                        "svd",
-                        update.kind.label(),
-                        vec![("members", c.into()), ("defect", update.defect.into())],
-                    );
-                    update.subspace
-                }
-                None => {
-                    let Some((_, full)) = subspace_over(&workdir, &central, &eligible[..cp]) else {
-                        break;
-                    };
-                    full
-                }
-            };
-            let mut round_rho = f64::NAN;
-            if let Some((_, prev)) = &previous {
-                let rho = similarity(prev, &estimate);
-                round_rho = rho;
-                println!("esse_master: N={cp} rho={rho:.4} (tol {tolerance:.3})");
-                if finite_stat(rho).is_pass() && conv.check(rho) {
-                    converged = true;
-                    converged_members = Some(c);
-                }
-            }
-            // Safe/live covariance files first, then the journal
-            // record as the commit point (§4.1 on disk).
-            svd_version += 1;
-            disk_cov
-                .publish(&encode_subspace_blob(&estimate), svd_version)
-                .expect("publish covariance");
-            journal.append(&JournalRecord::SvdPublished {
-                members: c,
-                version: svd_version,
-                rho: round_rho,
-            });
-            rec.instant_at(
-                rec.now_ns(),
-                Lane::Coordinator,
-                "svd",
-                "svd_published",
-                vec![("members", c.into()), ("version", svd_version.into())],
-            );
-            fired.insert(c);
-            last_fired = Some(c);
-            previous = Some((c, estimate));
-            if converged {
-                journal.append(&JournalRecord::Converged { members: c, rho: round_rho });
-                cancelled_tasks = pool.cancel_pending().expect("cancel pending");
-                pool.write_cancel().expect("write cancel tombstone");
-                println!("esse_master: converged; cancelled {cancelled_tasks} queued members");
-                rec.instant_at(
-                    rec.now_ns(),
-                    Lane::Coordinator,
-                    "convergence",
-                    "converged",
-                    vec![("members", c.into()), ("rho", round_rho.into())],
-                );
-            }
-        }
-        if converged {
+        let actions = core
+            .step(&scan, now_ms, &mut forecasts)
+            .map_err(|e| Stop::Failed(format!("incremental subspace update failed: {e}")))?;
+        exec.run(actions)?;
+        if core.finished() {
             break;
-        }
-
-        // --- Stage growth / completion. ---
-        let target = stages[stage_idx] as u64;
-        if (0..target).all(|m| book.decided(m)) {
-            if stage_idx + 1 < stages.len() {
-                stage_idx += 1;
-            } else {
-                break;
-            }
         }
         std::thread::sleep(Duration::from_millis(15));
     }
 
-    // --- Wind down: tell every worker (local or external) the run is
-    // over, then reap the local fleet. ---
-    pool.write_shutdown().expect("write shutdown tombstone");
+    // --- Wind down: tell every worker the run is over, reap the local
+    // fleet (bounded), then drain remote connections. ---
+    pool.write_shutdown().ctx("write shutdown tombstone")?;
     let deadline = Instant::now() + Duration::from_secs(10);
     for child in fleet.iter_mut().flatten() {
-        loop {
-            match child.try_wait().expect("reap worker") {
-                Some(_) => break,
-                None if Instant::now() >= deadline => {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    break;
-                }
-                None => std::thread::sleep(Duration::from_millis(10)),
+        while child.try_wait().ctx("reap worker")?.is_none() {
+            if Instant::now() >= deadline {
+                let _ = child.kill();
+                let _ = child.wait();
+                break;
             }
+            std::thread::sleep(Duration::from_millis(10));
         }
     }
     // Remote workers learn the run is over only through a `Shutdown`
-    // claim reply, and they ship their final trace batch over the same
-    // connection before hanging up — so keep serving until every live
-    // connection drains out (bounded), and only then close the
-    // listener. Stopping first would push still-connected workers into
-    // their coordinator-reconnect grace and they would exit as orphans.
-    // A worker can only be left parked-and-disconnected at completion
-    // if some earlier incarnation died under it, so a never-crashed
-    // run skips the linger entirely; on a resumed run the 750ms linger
-    // covers a parked worker's full reconnect-poll interval (250ms
-    // ceiling plus jitter and handshake), so even a worker that was
-    // disconnected the whole time the run finished gets one dial
-    // answered with `Shutdown` instead of a dead port.
+    // claim reply and ship their last trace batch over the same
+    // connection, so keep serving until every connection drains. A
+    // never-crashed run skips the linger; on a resumed run 750 ms
+    // covers a parked worker's full reconnect-poll interval, so even a
+    // worker disconnected the whole time gets `Shutdown`, not a dead port.
     if let Some(server) = net_server.as_mut() {
         let linger = if incarnation > 1 { Duration::from_millis(750) } else { Duration::ZERO };
         server.drain(linger, Duration::from_secs(10));
         server.stop();
     }
 
-    // --- Final subspace. When the run converged the posterior is the
-    // first `converged_members` completed members of the decided
-    // prefix — NOT "whatever happened to arrive" — so any worker
-    // interleaving, kill schedule or resume produces bit-identical
-    // posterior bytes. Unconverged runs use every completed member. ---
-    let eligible = book.prefix_eligible();
-    let ids: Vec<u64> = match converged_members {
-        Some(c) if converged => eligible[..(c as usize).min(eligible.len())].to_vec(),
-        _ => book.completed.keys().copied().collect(),
-    };
-    let Some((final_acc, final_subspace)) = subspace_over(&workdir, &central, &ids) else {
-        eprintln!("esse_master: not enough members for an SVD");
-        std::process::exit(1);
-    };
-    fileio::write_subspace(workdir.join(files::POSTERIOR), &final_subspace)
-        .expect("write posterior");
-    journal.append(&JournalRecord::RunComplete { members: final_acc.count() as u64 });
+    // --- The posterior over the deterministic member set. ---
+    let (posterior, members) =
+        core.posterior().ok_or_else(|| Stop::Failed("not enough members for an SVD".into()))?;
+    fileio::write_subspace(workdir.join(files::POSTERIOR), &posterior).ctx("write posterior")?;
+    exec.journal.append(&JournalRecord::RunComplete { members: members as u64 })?;
+    let ledger = core.ledger();
     println!(
-        "esse_master: done — {} members ({} failed), converged={}, rank {}, total variance {:.5}",
-        final_acc.count(),
-        book.failed.len(),
-        converged,
-        final_subspace.rank(),
-        final_subspace.total_variance()
+        "esse_master: done — {members} members ({} failed), converged={}, rank {}, \
+         total variance {:.5}",
+        ledger.failed,
+        core.converged(),
+        posterior.rank(),
+        posterior.total_variance()
     );
-    // The quarantine ledger: a member counts as *replaced* (healed) once
-    // a later attempt of it completed; quarantined-and-lost members are
-    // the explicit degraded-health breakdown, distinct from lease losses.
-    let replaced = quarantined_members.iter().filter(|m| book.completed.contains_key(m)).count();
-    m_replaced.add(replaced as u64);
+    metrics.counter("esse_replaced_total").add(ledger.replaced as u64);
+    let c = |name: &str| metrics.counter(name).get();
     println!(
         "esse_master: pool stats — leases granted {}, renewed {}, expired {}, \
          results fenced {}, tasks seeded {}, ingested {}, cancelled {}",
-        m_granted.get(),
-        m_renewed.get(),
-        m_expired.get(),
-        m_fenced.get(),
-        m_seeded.get(),
-        m_ingested.get(),
-        cancelled_tasks
+        c("esse_pool_lease_granted_total"),
+        c("esse_pool_lease_renewed_total"),
+        c("esse_pool_lease_expired_total"),
+        c("esse_pool_fencing_rejected_total"),
+        c("esse_pool_tasks_seeded_total"),
+        c("esse_pool_results_ingested_total"),
+        exec.cancelled
     );
     println!(
         "esse_master: quarantine stats — quarantined {} member(s), replaced {}, lost {}",
-        quarantined_members.len(),
-        replaced,
-        quarantined_lost
+        ledger.quarantined, ledger.replaced, ledger.lost
     );
-    // Point at the captured stdio of locally-spawned workers (also
-    // picked up by `RunMonitor` reports via `worker_log_dir`).
     let log_dir = workdir.join(WORKER_LOG_DIR);
-    if let Ok(entries) = fs::read_dir(&log_dir) {
-        let logs = entries
-            .filter_map(|e| e.ok())
-            .filter(|e| e.path().extension().is_some_and(|x| x == "log"))
-            .count();
-        if logs > 0 {
-            println!("esse_master: {logs} worker log(s) under {}", log_dir.display());
-        }
+    let is_log = |e: &fs::DirEntry| e.path().extension().is_some_and(|x| x == "log");
+    let logs = fs::read_dir(&log_dir).map_or(0, |d| d.flatten().filter(is_log).count());
+    if logs > 0 {
+        println!("esse_master: {logs} worker log(s) under {}", log_dir.display());
     }
 
     if let Some(path) = trace_out {
         let mut trace = ring.drain();
-        // Collect every shipped span batch (disk-transport sidecars and
-        // TCP batches both land as `.trace` files next to results),
-        // dropping whole batches that fail to decode — a SIGKILL'd
-        // worker's truncated sidecar must never corrupt the timeline —
-        // and batches from a different run id.
+        // Merge every decodable span batch of this run (disk sidecars
+        // and TCP batches both land as `.trace` files); a SIGKILL'd
+        // worker's truncated sidecar is dropped whole, never trusted.
         let mut batches = Vec::new();
         for p in pool.trace_sidecars().unwrap_or_default() {
-            match fs::read(&p)
-                .map_err(|e| e.to_string())
-                .and_then(|b| esse_obs::fleet::SpanBatch::decode(&b))
-            {
-                Ok(b) if b.run_id == trace_run => {
-                    m_batches.inc();
-                    batches.push(b);
-                }
+            match fs::read(&p).map_err(|e| e.to_string()).and_then(|b| SpanBatch::decode(&b)) {
+                Ok(b) if b.run_id == trace_run => batches.push(b),
                 Ok(_) => {}
                 Err(why) => {
-                    m_rejected.inc();
+                    metrics.counter("esse_fleet_trace_batches_rejected_total").inc();
                     eprintln!(
                         "esse_master: dropping unreadable trace batch {}: {why}",
                         p.display()
@@ -1492,8 +744,9 @@ fn main() {
                 }
             }
         }
+        metrics.counter("esse_fleet_trace_batches_total").add(batches.len() as u64);
         let report = esse_obs::fleet::merge_batches(&mut trace, &batches);
-        m_merged.add(report.spans_merged as u64);
+        metrics.counter("esse_fleet_spans_merged_total").add(report.spans_merged as u64);
         if !report.workers.is_empty() {
             println!(
                 "esse_master: fleet trace — merged {} span(s) / {} event(s) from {} worker(s), \
@@ -1504,11 +757,12 @@ fn main() {
                 report.dropped()
             );
         }
-        esse_obs::export::save(&trace, &path).expect("write trace");
+        esse_obs::export::save(&trace, &path).ctx("write trace")?;
         println!("esse_master: trace written to {}", path.display());
     }
-    if let Some(path) = metrics_out {
-        fs::write(&path, metrics.snapshot().to_prometheus()).expect("write metrics");
-        println!("esse_master: metrics written to {}", path.display());
+    if let Some(path) = args.get("metrics-out") {
+        fs::write(path, metrics.snapshot().to_prometheus()).ctx("write metrics")?;
+        println!("esse_master: metrics written to {path}");
     }
+    Ok(())
 }

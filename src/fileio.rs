@@ -4,8 +4,7 @@
 //! mean state from disk and writes a perturbed initial condition;
 //! `pemodel` reads that file and writes the forecast; the diff/SVD
 //! stages work on covariance files. This module defines those formats:
-//! a small magic-tagged header followed by little-endian `f64`s, written
-//! via the `bytes` crate.
+//! a small magic-tagged header followed by little-endian `f64`s.
 //!
 //! Since the format v2 revision every file written here carries a
 //! format-version byte after the magic and a CRC-32 trailer over
@@ -17,8 +16,9 @@
 //! [`esse_core::durable::atomic_write`]: temp file, fsync, rename,
 //! fsync the parent directory — a published file survives power loss.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use esse_core::durable::{atomic_write, crc32};
+use esse_core::subspace::ErrorSubspace;
+use esse_linalg::Matrix;
 use std::fs;
 use std::io;
 use std::path::Path;
@@ -31,20 +31,68 @@ const SUB_MAGIC_V2: u32 = 0x4553_5332; // "ESS2" — checksummed subspace
 /// Current format version written after the magic in v2 files.
 pub const FORMAT_VERSION: u8 = 2;
 
+/// The v2 encoding: magic, version byte, little-endian `u64` header
+/// words, `len` little-endian `f64`s, then a CRC-32 trailer over all of
+/// it. The buffer is sized exactly, so boxing it never reallocates.
+fn encode(magic: u32, header: &[u64], values: impl Iterator<Item = f64>, len: usize) -> Box<[u8]> {
+    let mut buf = Vec::with_capacity(5 + 8 * (header.len() + len) + 4);
+    buf.extend_from_slice(&magic.to_le_bytes());
+    buf.push(FORMAT_VERSION);
+    header.iter().for_each(|h| buf.extend_from_slice(&h.to_le_bytes()));
+    values.for_each(|v| buf.extend_from_slice(&v.to_le_bytes()));
+    let crc = crc32(&buf);
+    buf.extend_from_slice(&crc.to_le_bytes());
+    buf.into_boxed_slice()
+}
+
+/// Strip a file's framing — the v2 magic, version byte and CRC-32
+/// trailer, or a bare legacy v1 magic — and split off `words` header
+/// words, checking the payload holds exactly `values(header)` `f64`s.
+/// v2 failures are *corrupt* errors; legacy v1 mismatches stay plain
+/// invalid data.
+fn decode<'a>(
+    raw: &'a [u8],
+    [v2_magic, v1_magic]: [u32; 2],
+    what: &str,
+    words: usize,
+    values: impl Fn(&[u64]) -> Option<usize>,
+) -> io::Result<(Vec<u64>, &'a [u8])> {
+    let magic = raw.first_chunk().map(|m| u32::from_le_bytes(*m));
+    let (body, v2) = match magic {
+        None => return Err(corrupt(what, "shorter than a magic number")),
+        Some(m) if m == v2_magic => {
+            let body = check_trailer(raw, what)?;
+            if body[4] == 0 || body[4] > FORMAT_VERSION {
+                return Err(corrupt(what, "unknown format version"));
+            }
+            (&body[5..], true)
+        }
+        Some(m) if m == v1_magic => (&raw[4..], false),
+        Some(_) => return Err(bad_data(&format!("not an ESSE {what} file"))),
+    };
+    let fail = |why| if v2 { corrupt(what, why) } else { bad_data(&format!("{what} {why}")) };
+    let (header, payload) =
+        body.split_at_checked(8 * words).ok_or_else(|| fail("truncated header"))?;
+    let header: Vec<u64> = header.chunks_exact(8).map(|w| u64::from_le_bytes(word(w))).collect();
+    if values(&header).and_then(|n| n.checked_mul(8)) != Some(payload.len()) {
+        return Err(fail("size mismatch"));
+    }
+    Ok((header, payload))
+}
+
+fn f64s(bytes: &[u8]) -> impl Iterator<Item = f64> + '_ {
+    bytes.chunks_exact(8).map(|w| f64::from_le_bytes(word(w)))
+}
+
+fn word(w: &[u8]) -> [u8; 8] {
+    w.try_into().expect("chunks_exact(8) yields 8-byte words")
+}
+
 /// Encode a state vector into the current (v2, checksummed) on-disk
 /// format. Exposed so the on-disk safe/live covariance protocol can
 /// embed vector payloads without a round-trip through a file.
-pub fn vector_to_bytes(data: &[f64]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(17 + 8 * data.len() + 4);
-    buf.put_u32_le(VEC_MAGIC_V2);
-    buf.put_u8(FORMAT_VERSION);
-    buf.put_u64_le(data.len() as u64);
-    for &v in data {
-        buf.put_f64_le(v);
-    }
-    let crc = crc32(&buf);
-    buf.put_u32_le(crc);
-    buf.freeze()
+pub fn vector_to_bytes(data: &[f64]) -> Box<[u8]> {
+    encode(VEC_MAGIC_V2, &[data.len() as u64], data.iter().copied(), data.len())
 }
 
 /// Write a state vector to `path` (durable atomic publish).
@@ -54,40 +102,9 @@ pub fn write_vector(path: impl AsRef<Path>, data: &[f64]) -> io::Result<()> {
 
 /// Decode a state vector from raw file bytes (v2 or legacy v1).
 pub fn vector_from_bytes(raw: &[u8]) -> io::Result<Vec<f64>> {
-    let mut buf = Bytes::from(raw.to_vec());
-    if buf.remaining() < 4 {
-        return Err(corrupt("vector", "shorter than a magic number"));
-    }
-    match buf.get_u32_le() {
-        VEC_MAGIC_V2 => {
-            let body = check_trailer(raw, "vector")?;
-            let mut buf = Bytes::from(body[4..].to_vec());
-            let version = buf.get_u8();
-            if version == 0 || version > FORMAT_VERSION {
-                return Err(corrupt("vector", "unknown format version"));
-            }
-            if buf.remaining() < 8 {
-                return Err(corrupt("vector", "truncated header"));
-            }
-            let n = buf.get_u64_le() as usize;
-            if buf.remaining() != 8 * n {
-                return Err(corrupt("vector", "length mismatch"));
-            }
-            Ok((0..n).map(|_| buf.get_f64_le()).collect())
-        }
-        VEC_MAGIC => {
-            // Legacy v1: no version byte, no checksum.
-            if buf.remaining() < 8 {
-                return Err(bad_data("not an ESSE vector file"));
-            }
-            let n = buf.get_u64_le() as usize;
-            if buf.remaining() != 8 * n {
-                return Err(bad_data("vector length mismatch"));
-            }
-            Ok((0..n).map(|_| buf.get_f64_le()).collect())
-        }
-        _ => Err(bad_data("not an ESSE vector file")),
-    }
+    let magics = [VEC_MAGIC_V2, VEC_MAGIC];
+    let (_, payload) = decode(raw, magics, "vector", 1, |h| usize::try_from(h[0]).ok())?;
+    Ok(f64s(payload).collect())
 }
 
 /// Read a state vector from `path`.
@@ -95,92 +112,53 @@ pub fn read_vector(path: impl AsRef<Path>) -> io::Result<Vec<f64>> {
     vector_from_bytes(&fs::read(path)?)
 }
 
+/// Read and validate the vector file at `path` in one pass, returning
+/// the vector together with its CRC-32 trailer — the fingerprint a
+/// worker publishes in its pool result record, so the coordinator can
+/// cross-check that the forecast it ingests is the one the worker
+/// validated. Legacy v1 files have no trailer and report 0.
+pub fn read_vector_crc(path: impl AsRef<Path>) -> io::Result<(Vec<f64>, u32)> {
+    let raw = fs::read(path)?;
+    let data = vector_from_bytes(&raw)?;
+    let v2 = raw[..4] == VEC_MAGIC_V2.to_le_bytes();
+    Ok((data, raw.last_chunk().filter(|_| v2).map_or(0, |t| u32::from_le_bytes(*t))))
+}
+
+/// Validate the vector file at `path` and return its CRC-32 trailer
+/// (see [`read_vector_crc`]).
+pub fn vector_file_crc(path: impl AsRef<Path>) -> io::Result<u32> {
+    read_vector_crc(path).map(|(_, crc)| crc)
+}
+
 /// Encode an error subspace into the current (v2, checksummed) format.
-pub fn subspace_to_bytes(subspace: &esse_core::subspace::ErrorSubspace) -> Bytes {
+pub fn subspace_to_bytes(subspace: &ErrorSubspace) -> Box<[u8]> {
     let (n, k) = subspace.modes.shape();
-    let mut buf = BytesMut::with_capacity(25 + 8 * (n * k + k) + 4);
-    buf.put_u32_le(SUB_MAGIC_V2);
-    buf.put_u8(FORMAT_VERSION);
-    buf.put_u64_le(n as u64);
-    buf.put_u64_le(k as u64);
-    for &v in &subspace.variances {
-        buf.put_f64_le(v);
-    }
-    for j in 0..k {
-        for &v in subspace.modes.col(j) {
-            buf.put_f64_le(v);
-        }
-    }
-    let crc = crc32(&buf);
-    buf.put_u32_le(crc);
-    buf.freeze()
+    let modes = (0..k).flat_map(|j| subspace.modes.col(j).iter().copied());
+    let values = subspace.variances.iter().copied().chain(modes);
+    encode(SUB_MAGIC_V2, &[n as u64, k as u64], values, k + n * k)
 }
 
 /// Write an error subspace (modes + variances) to `path`.
-pub fn write_subspace(
-    path: impl AsRef<Path>,
-    subspace: &esse_core::subspace::ErrorSubspace,
-) -> io::Result<()> {
+pub fn write_subspace(path: impl AsRef<Path>, subspace: &ErrorSubspace) -> io::Result<()> {
     atomic_write(path, &subspace_to_bytes(subspace))
 }
 
 /// Decode an error subspace from raw file bytes (v2 or legacy v1).
-pub fn subspace_from_bytes(raw: &[u8]) -> io::Result<esse_core::subspace::ErrorSubspace> {
-    let mut buf = Bytes::from(raw.to_vec());
-    if buf.remaining() < 4 {
-        return Err(corrupt("subspace", "shorter than a magic number"));
-    }
-    match buf.get_u32_le() {
-        SUB_MAGIC_V2 => {
-            let body = check_trailer(raw, "subspace")?;
-            let mut buf = Bytes::from(body[4..].to_vec());
-            let version = buf.get_u8();
-            if version == 0 || version > FORMAT_VERSION {
-                return Err(corrupt("subspace", "unknown format version"));
-            }
-            if buf.remaining() < 16 {
-                return Err(corrupt("subspace", "truncated header"));
-            }
-            let n = buf.get_u64_le() as usize;
-            let k = buf.get_u64_le() as usize;
-            if buf.remaining() != 8 * (k + n * k) {
-                return Err(corrupt("subspace", "size mismatch"));
-            }
-            parse_subspace_body(&mut buf, n, k)
-        }
-        SUB_MAGIC => {
-            if buf.remaining() < 16 {
-                return Err(bad_data("not an ESSE subspace file"));
-            }
-            let n = buf.get_u64_le() as usize;
-            let k = buf.get_u64_le() as usize;
-            if buf.remaining() != 8 * (k + n * k) {
-                return Err(bad_data("subspace size mismatch"));
-            }
-            parse_subspace_body(&mut buf, n, k)
-        }
-        _ => Err(bad_data("not an ESSE subspace file")),
-    }
+pub fn subspace_from_bytes(raw: &[u8]) -> io::Result<ErrorSubspace> {
+    let values = |h: &[u64]| {
+        let (n, k) = (usize::try_from(h[0]).ok()?, usize::try_from(h[1]).ok()?);
+        n.checked_mul(k)?.checked_add(k)
+    };
+    let (h, payload) = decode(raw, [SUB_MAGIC_V2, SUB_MAGIC], "subspace", 2, values)?;
+    let (n, k) = (h[0] as usize, h[1] as usize);
+    let mut values = f64s(payload);
+    let variances = values.by_ref().take(k).collect();
+    Ok(ErrorSubspace { modes: Matrix::from_col_major(n, k, values.collect()), variances })
 }
 
 /// Read an error subspace from `path`.
-pub fn read_subspace(path: impl AsRef<Path>) -> io::Result<esse_core::subspace::ErrorSubspace> {
+pub fn read_subspace(path: impl AsRef<Path>) -> io::Result<ErrorSubspace> {
     subspace_from_bytes(&fs::read(path)?)
-}
-
-fn parse_subspace_body(
-    buf: &mut Bytes,
-    n: usize,
-    k: usize,
-) -> io::Result<esse_core::subspace::ErrorSubspace> {
-    let variances: Vec<f64> = (0..k).map(|_| buf.get_f64_le()).collect();
-    let mut modes = esse_linalg::Matrix::zeros(n, k);
-    for j in 0..k {
-        for i in 0..n {
-            modes.set(i, j, buf.get_f64_le());
-        }
-    }
-    Ok(esse_core::subspace::ErrorSubspace { modes, variances })
 }
 
 /// Verify the CRC-32 trailer of a v2 file and return the body (all
@@ -205,21 +183,6 @@ fn bad_data(msg: &str) -> io::Error {
 
 fn corrupt(what: &str, why: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("corrupt ESSE {what} file: {why}"))
-}
-
-/// Validate the vector file at `path` and return its CRC-32 trailer —
-/// the fingerprint a worker publishes in its pool result record so the
-/// coordinator can cross-check that the forecast it ingests is the one
-/// the worker validated. Legacy v1 files have no trailer and report 0.
-pub fn vector_file_crc(path: impl AsRef<Path>) -> io::Result<u32> {
-    let raw = fs::read(path)?;
-    vector_from_bytes(&raw)?;
-    if raw.len() >= 4 && raw[..4] == VEC_MAGIC_V2.to_le_bytes() {
-        let (_, trailer) = raw.split_at(raw.len() - 4);
-        Ok(u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]))
-    } else {
-        Ok(0)
-    }
 }
 
 /// `true` if `err` is the distinct corrupt-file error produced by the

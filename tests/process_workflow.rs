@@ -134,6 +134,54 @@ fn crashed_master_resumes_to_a_bit_identical_posterior() {
     assert_eq!(std::fs::read(dir.join("posterior.sub")).unwrap(), reference);
 }
 
+/// Run the master to completion with a tolerance it never meets (so
+/// several checkpoints follow the first), calling `tamper` on the
+/// workdir as soon as the first `rho=` line appears. Returns the
+/// posterior bytes.
+fn run_tampered(tag: &str, tamper: impl FnOnce(&Path)) -> Vec<u8> {
+    use std::io::BufRead;
+    let dir = workdir(tag);
+    let mut child = master_cmd(&dir, &["--max", "16", "--tolerance", "0.00001"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("esse_master runs");
+    let stdout = std::io::BufReader::new(child.stdout.take().unwrap());
+    let mut tamper = Some(tamper);
+    for line in stdout.lines() {
+        if line.unwrap().contains(" rho=") {
+            if let Some(f) = tamper.take() {
+                f(&dir);
+            }
+        }
+    }
+    let out = child.wait_with_output().unwrap();
+    assert!(tamper.is_none(), "no rho line before the run ended");
+    assert!(out.status.success(), "master failed: {}", String::from_utf8_lossy(&out.stderr));
+    std::fs::read(dir.join("posterior.sub")).unwrap()
+}
+
+#[test]
+fn forecast_deleted_after_ingest_does_not_change_the_posterior() {
+    // Each forecast is read and checked once, at ingest: later
+    // checkpoints and the posterior use the vector that passed the gate.
+    let reference = run_tampered("reread-ref", |_| {});
+    let deleted =
+        run_tampered("reread-del", |dir| std::fs::remove_file(dir.join("fc_0.vec")).unwrap());
+    assert_eq!(deleted, reference, "posterior changed after an ingested forecast was deleted");
+}
+
+#[test]
+fn forecast_replaced_after_ingest_does_not_change_the_posterior() {
+    // A CRC-valid but different file in place of an ingested forecast
+    // must never reach the SVD: its bytes were not the ones the gate saw.
+    let reference = run_tampered("reread-ref2", |_| {});
+    let replaced = run_tampered("reread-swap", |dir| {
+        std::fs::copy(dir.join("fc_1.vec"), dir.join("fc_0.vec")).unwrap();
+    });
+    assert_eq!(replaced, reference, "posterior used bytes the ingest gate never checked");
+}
+
 #[test]
 fn pert_singleton_is_deterministic_per_member() {
     let dir = workdir("pert");
