@@ -4,12 +4,17 @@
 //!
 //! The paper's ESSE is file-based so a real-time forecast survives
 //! infrastructure trouble (§4.1, §4.2); that only works if "written to
-//! disk" actually means *on* the disk. This module supplies the two
-//! ingredients every durable format here is built from:
+//! disk" actually means *on* the disk. This module supplies what every
+//! durable format here is built from:
 //!
-//! * [`crc32`] — the IEEE CRC-32 checksum (defined in `esse_obs::crc`
-//!   and re-exported here), so readers detect truncated or bit-flipped
-//!   files instead of silently ingesting them;
+//! * [`envelope`] — the one framing envelope (defined in
+//!   `esse_obs::envelope` and re-exported here): the magic registry,
+//!   sealed records with a CRC-32 trailer, stream frames and the field
+//!   reader, so readers detect truncated or bit-flipped files instead of
+//!   silently ingesting them;
+//! * the vector and subspace codec ([`seal_vector`], [`vector_fields`],
+//!   …), parameterised by registry kind: the `.vec`/`.sub` files and the
+//!   checkpoint blobs are one layout under different magics;
 //! * [`atomic_write`] — write-to-temp, `fsync` the temp file, rename
 //!   over the target, then `fsync` the parent directory, so a published
 //!   file survives power loss and concurrent readers never observe a
@@ -19,7 +24,58 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-pub use esse_obs::crc::{crc32, crc32_update};
+use crate::subspace::ErrorSubspace;
+use envelope::{EnvelopeError, Kind, Reader};
+use esse_linalg::Matrix;
+
+pub use esse_obs::crc::crc32;
+pub use esse_obs::envelope;
+
+/// Seal a state vector as a record of `kind`: a `u64` length, then the
+/// values as little-endian `f64`s. The buffer is sized exactly.
+pub fn seal_vector(kind: Kind, data: &[f64]) -> Vec<u8> {
+    seal_f64s(kind, &[data.len() as u64], &[data])
+}
+
+/// Read a vector body: a `u64` length, then that many `f64`s. Open a
+/// sealed vector with `envelope::open_with(kind, raw, vector_fields)`;
+/// a legacy v1 file's payload is the same body.
+pub fn vector_fields(r: &mut Reader) -> Result<Vec<f64>, EnvelopeError> {
+    let n = r.u64()?;
+    Ok(f64s(r, n)?.collect())
+}
+
+/// Seal an error subspace as a record of `kind`: `u64` state size `n`,
+/// `u64` rank `k`, the `k` variances, then the `n × k` modes
+/// column-major.
+pub fn seal_subspace(kind: Kind, sub: &ErrorSubspace) -> Vec<u8> {
+    let (n, k) = sub.modes.shape();
+    seal_f64s(kind, &[n as u64, k as u64], &[&sub.variances, sub.modes.as_slice()])
+}
+
+/// Read a subspace body (see [`vector_fields`]).
+pub fn subspace_fields(r: &mut Reader) -> Result<ErrorSubspace, EnvelopeError> {
+    let (n, k) = (r.u64()?, r.u64()?);
+    let variances = f64s(r, k)?.collect();
+    let len = n.checked_mul(k).ok_or(EnvelopeError::Truncated)?;
+    let modes = Matrix::from_col_major(n as usize, k as usize, f64s(r, len)?.collect());
+    Ok(ErrorSubspace { modes, variances })
+}
+
+fn seal_f64s(kind: Kind, header: &[u64], values: &[&[f64]]) -> Vec<u8> {
+    let len = header.len() + values.iter().map(|v| v.len()).sum::<usize>();
+    envelope::seal(kind, 8 * len, |out| {
+        header.iter().for_each(|h| out.extend_from_slice(&h.to_le_bytes()));
+        values.iter().flat_map(|v| v.iter()).for_each(|v| out.extend_from_slice(&v.to_le_bytes()));
+    })
+}
+
+/// The next `n` little-endian `f64`s.
+fn f64s<'a>(r: &mut Reader<'a>, n: u64) -> Result<impl Iterator<Item = f64> + 'a, EnvelopeError> {
+    let len = usize::try_from(n).ok().and_then(|n| n.checked_mul(8));
+    let bytes = r.take(len.ok_or(EnvelopeError::Truncated)?)?;
+    Ok(bytes.chunks_exact(8).map(|w| f64::from_le_bytes(w.try_into().expect("8-byte words"))))
+}
 
 /// `fsync` a directory so a rename/create inside it survives power
 /// loss. A no-op on platforms where directories cannot be opened.

@@ -24,25 +24,22 @@
 //!   [`ResumeState`] that [`crate::workflow::RunInit::resuming`] can
 //!   rehydrate — completed members are never re-run.
 
-use esse_core::durable::{atomic_write, crc32, fsync_dir};
+use esse_core::durable::envelope::{self, EnvelopeError, Reader, JOURNAL};
+use esse_core::durable::envelope::{MEMBER_BLOB, SUBSPACE_BLOB};
+use esse_core::durable::{self, atomic_write, fsync_dir};
+use esse_core::subspace::ErrorSubspace;
+use esse_obs::put_le;
 use std::fs;
 use std::io::{self, Seek, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-/// Journal file magic + format version ("ESSEJNL" + version byte).
-const JOURNAL_MAGIC: &[u8; 8] = b"ESSEJNL\x01";
-
-/// Member checkpoint blob magic ("ESCK" + version byte).
-const MEMBER_MAGIC: &[u8; 4] = b"ESCK";
-/// Current member blob format version.
-const MEMBER_VERSION: u8 = 1;
-
 /// One durable event in the run's history.
 ///
-/// Payloads are fixed little-endian encodings; every record is framed
-/// with a length prefix and a CRC-32 trailer on disk, so readers can
-/// tell a torn tail from a complete record.
+/// Payloads are fixed little-endian encodings (kind byte, then fields).
+/// On disk the journal is the envelope's `JOURNAL` header followed by
+/// one stream frame per record, so readers tell a torn tail from a
+/// complete record.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum JournalRecord {
     /// The run began under this configuration fingerprint. Always the
@@ -130,111 +127,53 @@ pub enum JournalRecord {
 }
 
 impl JournalRecord {
-    fn kind(&self) -> u8 {
-        match self {
-            JournalRecord::RunStart { .. } => 1,
-            JournalRecord::MemberCompleted { .. } => 2,
-            JournalRecord::MemberFailed { .. } => 3,
-            JournalRecord::MemberQuarantined { .. } => 4,
-            JournalRecord::SvdPublished { .. } => 5,
-            JournalRecord::Converged { .. } => 6,
-            JournalRecord::Assimilated { .. } => 7,
-            JournalRecord::RunComplete { .. } => 8,
-            JournalRecord::EpochAdvanced { .. } => 9,
-            JournalRecord::CoordinatorStarted { .. } => 10,
-        }
-    }
-
     /// Encode the record payload (kind byte + fields, little endian).
     fn encode(&self) -> Vec<u8> {
-        let mut out = vec![self.kind()];
+        use JournalRecord::*;
+        let mut out = Vec::with_capacity(25);
         match *self {
-            JournalRecord::RunStart { config_hash } => {
-                out.extend_from_slice(&config_hash.to_le_bytes());
-            }
-            JournalRecord::MemberCompleted { member, attempts } => {
-                out.extend_from_slice(&member.to_le_bytes());
-                out.extend_from_slice(&attempts.to_le_bytes());
-            }
-            JournalRecord::MemberFailed { member, code } => {
-                out.extend_from_slice(&member.to_le_bytes());
-                out.extend_from_slice(&code.to_le_bytes());
-            }
-            JournalRecord::MemberQuarantined { member, reason } => {
-                out.extend_from_slice(&member.to_le_bytes());
-                // Reason 0 keeps the legacy 8-byte payload so journals
-                // written before reason codes replay byte-identically.
-                if reason != 0 {
-                    out.extend_from_slice(&reason.to_le_bytes());
-                }
-            }
-            JournalRecord::SvdPublished { members, version, rho } => {
-                out.extend_from_slice(&members.to_le_bytes());
-                out.extend_from_slice(&version.to_le_bytes());
-                out.extend_from_slice(&rho.to_bits().to_le_bytes());
-            }
-            JournalRecord::Converged { members, rho } => {
-                out.extend_from_slice(&members.to_le_bytes());
-                out.extend_from_slice(&rho.to_bits().to_le_bytes());
-            }
-            JournalRecord::Assimilated { innovations } => {
-                out.extend_from_slice(&innovations.to_le_bytes());
-            }
-            JournalRecord::RunComplete { members } => {
-                out.extend_from_slice(&members.to_le_bytes());
-            }
-            JournalRecord::EpochAdvanced { member, epoch } => {
-                out.extend_from_slice(&member.to_le_bytes());
-                out.extend_from_slice(&epoch.to_le_bytes());
-            }
-            JournalRecord::CoordinatorStarted { incarnation } => {
-                out.extend_from_slice(&incarnation.to_le_bytes());
-            }
+            RunStart { config_hash } => put_le!(out, 1u8, config_hash),
+            MemberCompleted { member, attempts } => put_le!(out, 2u8, member, attempts),
+            MemberFailed { member, code } => put_le!(out, 3u8, member, code),
+            // Reason 0 keeps the legacy 8-byte payload so journals
+            // written before reason codes replay byte-identically.
+            MemberQuarantined { member, reason: 0 } => put_le!(out, 4u8, member),
+            MemberQuarantined { member, reason } => put_le!(out, 4u8, member, reason),
+            SvdPublished { members, version, rho } => put_le!(out, 5u8, members, version, rho),
+            Converged { members, rho } => put_le!(out, 6u8, members, rho),
+            Assimilated { innovations } => put_le!(out, 7u8, innovations),
+            RunComplete { members } => put_le!(out, 8u8, members),
+            EpochAdvanced { member, epoch } => put_le!(out, 9u8, member, epoch),
+            CoordinatorStarted { incarnation } => put_le!(out, 10u8, incarnation),
         }
         out
     }
 
     /// Decode a payload produced by [`JournalRecord::encode`]. `None`
-    /// for unknown kinds or short payloads (treated as torn/corrupt).
+    /// for unknown kinds, short payloads or trailing bytes (treated as
+    /// torn/corrupt).
     fn decode(payload: &[u8]) -> Option<JournalRecord> {
-        let (&kind, rest) = payload.split_first()?;
-        let u64_at = |off: usize| -> Option<u64> {
-            rest.get(off..off + 8).map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-        };
-        let rec = match kind {
-            1 => JournalRecord::RunStart { config_hash: u64_at(0)? },
-            2 => JournalRecord::MemberCompleted {
-                member: u64_at(0)?,
-                attempts: u32::from_le_bytes(rest.get(8..12)?.try_into().unwrap()),
+        envelope::read_all(payload, Self::read).ok()
+    }
+
+    fn read(r: &mut Reader) -> Result<JournalRecord, EnvelopeError> {
+        use JournalRecord::*;
+        Ok(match r.u8()? {
+            1 => RunStart { config_hash: r.u64()? },
+            2 => MemberCompleted { member: r.u64()?, attempts: r.u32()? },
+            3 => MemberFailed { member: r.u64()?, code: r.i32()? },
+            4 => MemberQuarantined {
+                member: r.u64()?,
+                reason: if r.is_empty() { 0 } else { r.u32()? },
             },
-            3 => JournalRecord::MemberFailed {
-                member: u64_at(0)?,
-                code: i32::from_le_bytes(rest.get(8..12)?.try_into().unwrap()),
-            },
-            4 => JournalRecord::MemberQuarantined {
-                member: u64_at(0)?,
-                reason: match rest.get(8..12) {
-                    Some(b) => u32::from_le_bytes(b.try_into().unwrap()),
-                    None => 0,
-                },
-            },
-            5 => JournalRecord::SvdPublished {
-                members: u64_at(0)?,
-                version: u64_at(8)?,
-                rho: f64::from_bits(u64_at(16)?),
-            },
-            6 => JournalRecord::Converged { members: u64_at(0)?, rho: f64::from_bits(u64_at(8)?) },
-            7 => JournalRecord::Assimilated { innovations: u64_at(0)? },
-            8 => JournalRecord::RunComplete { members: u64_at(0)? },
-            9 => JournalRecord::EpochAdvanced {
-                member: u64_at(0)?,
-                epoch: u32::from_le_bytes(rest.get(8..12)?.try_into().unwrap()),
-            },
-            10 => JournalRecord::CoordinatorStarted { incarnation: u64_at(0)? },
-            _ => return None,
-        };
-        // Reject trailing garbage so a frame is exactly one record.
-        (rec.encode().len() == payload.len()).then_some(rec)
+            5 => SvdPublished { members: r.u64()?, version: r.u64()?, rho: r.f64()? },
+            6 => Converged { members: r.u64()?, rho: r.f64()? },
+            7 => Assimilated { innovations: r.u64()? },
+            8 => RunComplete { members: r.u64()? },
+            9 => EpochAdvanced { member: r.u64()?, epoch: r.u32()? },
+            10 => CoordinatorStarted { incarnation: r.u64()? },
+            kind => return Err(EnvelopeError::BadType(kind)),
+        })
     }
 }
 
@@ -269,7 +208,7 @@ impl Journal {
     pub fn create(path: impl AsRef<Path>) -> io::Result<Journal> {
         let path = path.as_ref().to_path_buf();
         let mut file = fs::File::create(&path)?;
-        file.write_all(JOURNAL_MAGIC)?;
+        file.write_all(&envelope::header(JOURNAL))?;
         file.sync_all()?;
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
@@ -287,26 +226,16 @@ impl Journal {
     /// torn or corrupt frame; everything before it is returned.
     pub fn replay(path: impl AsRef<Path>) -> io::Result<Replay> {
         let raw = fs::read(path)?;
-        if raw.len() < JOURNAL_MAGIC.len() || raw[..7] != JOURNAL_MAGIC[..7] {
-            return Err(corrupt("missing journal magic"));
-        }
-        if raw[7] != JOURNAL_MAGIC[7] {
-            return Err(corrupt(format!("unsupported journal version {}", raw[7])));
-        }
+        let mut rest =
+            envelope::strip_header(JOURNAL, &raw).map_err(|e| corrupt(format!("header: {e}")))?;
         let mut records = Vec::new();
-        let mut pos = JOURNAL_MAGIC.len();
-        // Frame: [len u32][crc u32 of payload][payload: len bytes].
-        while let Some(head) = raw.get(pos..pos + 8) {
-            let len = u32::from_le_bytes(head[..4].try_into().unwrap()) as usize;
-            let crc = u32::from_le_bytes(head[4..8].try_into().unwrap());
-            let Some(payload) = raw.get(pos + 8..pos + 8 + len) else { break };
-            if crc32(payload) != crc {
-                break;
-            }
+        // Replay ends at the first torn (truncated) or corrupt frame.
+        while let Ok((payload, used)) = envelope::next_frame(rest) {
             let Some(rec) = JournalRecord::decode(payload) else { break };
             records.push(rec);
-            pos += 8 + len;
+            rest = &rest[used..];
         }
+        let pos = raw.len() - rest.len();
         Ok(Replay { records, valid_len: pos as u64, torn_bytes: (raw.len() - pos) as u64 })
     }
 
@@ -360,11 +289,7 @@ impl Journal {
         if left != u64::MAX {
             self.fail_after.store(left - 1, Ordering::SeqCst);
         }
-        let payload = rec.encode();
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
+        let frame = envelope::frame(&rec.encode());
         let mut file = crate::lock(&self.file);
         file.write_all(&frame)?;
         file.sync_data()
@@ -527,106 +452,28 @@ pub fn config_hash(parts: &[(&str, String)]) -> u64 {
 // Checkpoint: journal + member result blobs in one directory.
 // ---------------------------------------------------------------------
 
-/// Encode a member result vector as a checksummed blob
-/// (`ESCK`, version byte, length, f64 payload, CRC-32 trailer).
+/// Encode a member result vector as a sealed `ESCK` blob (the vector
+/// layout of [`esse_core::durable::seal_vector`]).
 pub fn encode_member_blob(data: &[f64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + 1 + 8 + 8 * data.len() + 4);
-    out.extend_from_slice(MEMBER_MAGIC);
-    out.push(MEMBER_VERSION);
-    out.extend_from_slice(&(data.len() as u64).to_le_bytes());
-    for &v in data {
-        out.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
+    durable::seal_vector(MEMBER_BLOB, data)
 }
 
 /// Decode and validate a member blob. Truncations and bit flips fail
 /// the CRC and are reported as corrupt, never silently ingested.
 pub fn decode_member_blob(raw: &[u8]) -> io::Result<Vec<f64>> {
-    let bad = |msg: &str| {
-        io::Error::new(io::ErrorKind::InvalidData, format!("corrupt member checkpoint: {msg}"))
-    };
-    if raw.len() < 17 || &raw[..4] != MEMBER_MAGIC {
-        return Err(bad("missing magic"));
-    }
-    if raw[4] != MEMBER_VERSION {
-        return Err(bad("unsupported version"));
-    }
-    let (body, trailer) = raw.split_at(raw.len() - 4);
-    let crc = u32::from_le_bytes(trailer.try_into().unwrap());
-    if crc32(body) != crc {
-        return Err(bad("checksum mismatch"));
-    }
-    let n = u64::from_le_bytes(body[5..13].try_into().unwrap()) as usize;
-    let payload = &body[13..];
-    if payload.len() != 8 * n {
-        return Err(bad("length mismatch"));
-    }
-    Ok(payload
-        .chunks_exact(8)
-        .map(|b| f64::from_bits(u64::from_le_bytes(b.try_into().unwrap())))
-        .collect())
+    Ok(envelope::open_with(MEMBER_BLOB, raw, durable::vector_fields)?)
 }
 
-/// Magic prefix of a subspace blob (disk triple-buffer payload).
-const SUBSPACE_MAGIC: &[u8; 4] = b"ESSB";
-
-/// Encode an error subspace as a checksummed blob — the payload the
+/// Encode an error subspace as a sealed `ESSB` blob — the payload the
 /// workflow publishes through the on-disk safe/live protocol
 /// ([`crate::triple_buffer::DiskTripleBuffer`]).
-pub fn encode_subspace_blob(sub: &esse_core::subspace::ErrorSubspace) -> Vec<u8> {
-    let (n, k) = sub.modes.shape();
-    let mut out = Vec::with_capacity(4 + 1 + 16 + 8 * (k + n * k) + 4);
-    out.extend_from_slice(SUBSPACE_MAGIC);
-    out.push(MEMBER_VERSION);
-    out.extend_from_slice(&(n as u64).to_le_bytes());
-    out.extend_from_slice(&(k as u64).to_le_bytes());
-    for &v in &sub.variances {
-        out.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-    for j in 0..k {
-        for &v in sub.modes.col(j) {
-            out.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-    }
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
+pub fn encode_subspace_blob(sub: &ErrorSubspace) -> Vec<u8> {
+    durable::seal_subspace(SUBSPACE_BLOB, sub)
 }
 
 /// Decode and validate a subspace blob.
-pub fn decode_subspace_blob(raw: &[u8]) -> io::Result<esse_core::subspace::ErrorSubspace> {
-    let bad = |msg: &str| {
-        io::Error::new(io::ErrorKind::InvalidData, format!("corrupt subspace checkpoint: {msg}"))
-    };
-    if raw.len() < 25 || &raw[..4] != SUBSPACE_MAGIC {
-        return Err(bad("missing magic"));
-    }
-    if raw[4] != MEMBER_VERSION {
-        return Err(bad("unsupported version"));
-    }
-    let (body, trailer) = raw.split_at(raw.len() - 4);
-    let crc = u32::from_le_bytes(trailer.try_into().unwrap());
-    if crc32(body) != crc {
-        return Err(bad("checksum mismatch"));
-    }
-    let n = u64::from_le_bytes(body[5..13].try_into().unwrap()) as usize;
-    let k = u64::from_le_bytes(body[13..21].try_into().unwrap()) as usize;
-    let payload = &body[21..];
-    if payload.len() != 8 * (k + n * k) {
-        return Err(bad("size mismatch"));
-    }
-    let f = |b: &[u8]| f64::from_bits(u64::from_le_bytes(b.try_into().unwrap()));
-    let variances: Vec<f64> = payload[..8 * k].chunks_exact(8).map(f).collect();
-    let mut modes = esse_linalg::Matrix::zeros(n, k);
-    for j in 0..k {
-        for i in 0..n {
-            modes.set(i, j, f(&payload[8 * (k + j * n + i)..8 * (k + j * n + i) + 8]));
-        }
-    }
-    Ok(esse_core::subspace::ErrorSubspace { modes, variances })
+pub fn decode_subspace_blob(raw: &[u8]) -> io::Result<ErrorSubspace> {
+    Ok(envelope::open_with(SUBSPACE_BLOB, raw, durable::subspace_fields)?)
 }
 
 /// What [`Checkpoint::open`] recovered for the engine to resume from.
@@ -790,6 +637,10 @@ impl Checkpoint {
         self.journal.append(&JournalRecord::RunComplete { members: members as u64 })
     }
 }
+
+/// The journal header bytes; the unit tests cut and flip past it.
+#[cfg(test)]
+const JOURNAL_MAGIC: &[u8; 8] = b"ESSEJNL\x01";
 
 #[cfg(test)]
 mod tests {

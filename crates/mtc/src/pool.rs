@@ -29,11 +29,17 @@
 //!   child mid-run — the paper's task-cancellation protocol).
 //!   `pool/SHUTDOWN` tells idle workers the run is over.
 //!
-//! All records reuse the CRC-framed discipline of the v2 fileio formats
-//! and every publish goes through [`esse_core::durable::atomic_write`],
-//! so a torn record is detected and skipped, never trusted.
+//! Every record is a sealed record of the framing envelope
+//! ([`esse_core::durable::envelope`]: `POOL_MANIFEST`, `POOL_TASK`,
+//! `POOL_RESULT`, `POOL_HEARTBEAT`) and every publish goes through
+//! [`esse_core::durable::atomic_write`], so a torn record is detected
+//! and skipped, never trusted. The TCP transport carries these same
+//! sealed records, so each record type has exactly one codec.
 
-use esse_core::durable::{atomic_write, crc32};
+use esse_core::durable::atomic_write;
+use esse_core::durable::envelope::{self, EnvelopeError};
+use esse_core::durable::envelope::{POOL_HEARTBEAT, POOL_MANIFEST, POOL_RESULT, POOL_TASK};
+use esse_obs::put_le;
 use std::collections::HashMap;
 use std::fs;
 use std::io;
@@ -53,43 +59,6 @@ pub const STALE_DIR: &str = "stale";
 pub const CANCEL_TOMBSTONE: &str = "CANCEL";
 /// Shutdown tombstone: the run is complete, workers should exit.
 pub const SHUTDOWN_TOMBSTONE: &str = "SHUTDOWN";
-
-const MANIFEST_MAGIC: &[u8; 4] = b"ESPM";
-const TASK_MAGIC: &[u8; 4] = b"ESTK";
-const RESULT_MAGIC: &[u8; 4] = b"ESRS";
-const HEARTBEAT_MAGIC: &[u8; 4] = b"ESHB";
-const POOL_VERSION: u8 = 1;
-
-fn bad(what: &str, why: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, format!("corrupt pool {what}: {why}"))
-}
-
-/// Frame `payload` as magic + version + payload + CRC-32 trailer.
-fn frame(magic: &[u8; 4], payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(5 + payload.len() + 4);
-    out.extend_from_slice(magic);
-    out.push(POOL_VERSION);
-    out.extend_from_slice(payload);
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
-}
-
-/// Validate a frame written by [`frame`] and return the payload.
-fn unframe<'a>(magic: &[u8; 4], raw: &'a [u8], what: &str) -> io::Result<&'a [u8]> {
-    if raw.len() < 9 || &raw[..4] != magic {
-        return Err(bad(what, "missing magic"));
-    }
-    if raw[4] != POOL_VERSION {
-        return Err(bad(what, "unsupported version"));
-    }
-    let (body, trailer) = raw.split_at(raw.len() - 4);
-    let stored = u32::from_le_bytes(trailer.try_into().unwrap());
-    if crc32(body) != stored {
-        return Err(bad(what, "checksum mismatch"));
-    }
-    Ok(&body[5..])
-}
 
 /// Run-wide parameters every worker needs to execute a task, written
 /// once by the coordinator when the pool is created. Workers carry no
@@ -117,45 +86,28 @@ pub struct PoolManifest {
 }
 
 impl PoolManifest {
-    fn encode(&self) -> Vec<u8> {
-        let mut p = Vec::new();
-        p.extend_from_slice(&(self.domain.len() as u32).to_le_bytes());
-        p.extend_from_slice(self.domain.as_bytes());
-        p.extend_from_slice(&self.hours.to_bits().to_le_bytes());
-        p.extend_from_slice(&self.white_noise.to_bits().to_le_bytes());
-        p.extend_from_slice(&self.base_seed.to_le_bytes());
-        p.extend_from_slice(&self.lease_ms.to_le_bytes());
-        p.extend_from_slice(&self.config_hash.to_le_bytes());
-        p.extend_from_slice(&self.trace_run_id.to_le_bytes());
-        frame(MANIFEST_MAGIC, &p)
+    /// The sealed record (`POOL_MANIFEST`).
+    pub fn encode(&self) -> Vec<u8> {
+        envelope::seal(POOL_MANIFEST, 4 + self.domain.len() + 48, |p| {
+            envelope::put_bytes(p, self.domain.as_bytes());
+            put_le!(p, self.hours, self.white_noise, self.base_seed, self.lease_ms);
+            put_le!(p, self.config_hash, self.trace_run_id);
+        })
     }
 
-    fn decode(raw: &[u8]) -> io::Result<PoolManifest> {
-        let p = unframe(MANIFEST_MAGIC, raw, "manifest")?;
-        if p.len() < 4 {
-            return Err(bad("manifest", "truncated"));
-        }
-        let dlen = u32::from_le_bytes(p[..4].try_into().unwrap()) as usize;
-        // A 5-word tail is a pre-tracing manifest (run id 0); 6 words
-        // carry the trace context.
-        let words = match p.len().checked_sub(4 + dlen) {
-            Some(40) => 5,
-            Some(48) => 6,
-            _ => return Err(bad("manifest", "length mismatch")),
-        };
-        let domain = String::from_utf8(p[4..4 + dlen].to_vec())
-            .map_err(|_| bad("manifest", "domain not UTF-8"))?;
-        let u = |i: usize| {
-            u64::from_le_bytes(p[4 + dlen + 8 * i..4 + dlen + 8 * (i + 1)].try_into().unwrap())
-        };
-        Ok(PoolManifest {
-            domain,
-            hours: f64::from_bits(u(0)),
-            white_noise: f64::from_bits(u(1)),
-            base_seed: u(2),
-            lease_ms: u(3),
-            config_hash: u(4),
-            trace_run_id: if words == 6 { u(5) } else { 0 },
+    /// Decode a sealed manifest; a pre-tracing manifest (no run id)
+    /// reads as run id 0.
+    pub fn decode(raw: &[u8]) -> Result<PoolManifest, EnvelopeError> {
+        envelope::open_with(POOL_MANIFEST, raw, |r| {
+            Ok(PoolManifest {
+                domain: r.string()?,
+                hours: r.f64()?,
+                white_noise: r.f64()?,
+                base_seed: r.u64()?,
+                lease_ms: r.u64()?,
+                config_hash: r.u64()?,
+                trace_run_id: if r.is_empty() { 0 } else { r.u64()? },
+            })
         })
     }
 }
@@ -184,31 +136,23 @@ impl TaskSpec {
         format!("t{:06}.e{:05}", self.member, self.epoch)
     }
 
-    fn encode(&self) -> Vec<u8> {
-        let mut p = Vec::with_capacity(28);
-        p.extend_from_slice(&self.member.to_le_bytes());
-        p.extend_from_slice(&self.epoch.to_le_bytes());
-        p.extend_from_slice(&self.seed.to_le_bytes());
-        p.extend_from_slice(&self.parent_span.to_le_bytes());
-        frame(TASK_MAGIC, &p)
+    /// The sealed record (`POOL_TASK`).
+    pub fn encode(&self) -> Vec<u8> {
+        envelope::seal(POOL_TASK, 28, |p| {
+            put_le!(p, self.member, self.epoch, self.seed, self.parent_span);
+        })
     }
 
-    fn decode(raw: &[u8]) -> io::Result<TaskSpec> {
-        let p = unframe(TASK_MAGIC, raw, "task record")?;
-        // 20 bytes is a pre-tracing record (parent span 0); 28 carries
-        // the trace context.
-        if p.len() != 20 && p.len() != 28 {
-            return Err(bad("task record", "length mismatch"));
-        }
-        Ok(TaskSpec {
-            member: u64::from_le_bytes(p[..8].try_into().unwrap()),
-            epoch: u32::from_le_bytes(p[8..12].try_into().unwrap()),
-            seed: u64::from_le_bytes(p[12..20].try_into().unwrap()),
-            parent_span: if p.len() == 28 {
-                u64::from_le_bytes(p[20..28].try_into().unwrap())
-            } else {
-                0
-            },
+    /// Decode a sealed task record; a pre-tracing record (no parent
+    /// span) reads as parent span 0.
+    pub fn decode(raw: &[u8]) -> Result<TaskSpec, EnvelopeError> {
+        envelope::open_with(POOL_TASK, raw, |r| {
+            Ok(TaskSpec {
+                member: r.u64()?,
+                epoch: r.u32()?,
+                seed: r.u64()?,
+                parent_span: if r.is_empty() { 0 } else { r.u64()? },
+            })
         })
     }
 }
@@ -246,39 +190,30 @@ impl ResultRecord {
         format!("r{:06}.e{:05}", self.member, self.epoch)
     }
 
-    fn encode(&self) -> Vec<u8> {
-        let mut p = Vec::with_capacity(28);
-        p.extend_from_slice(&self.member.to_le_bytes());
-        p.extend_from_slice(&self.epoch.to_le_bytes());
-        p.extend_from_slice(&self.code.to_le_bytes());
-        p.extend_from_slice(&self.pid.to_le_bytes());
-        p.extend_from_slice(&self.fc_crc.to_le_bytes());
-        // Reason 0 keeps the legacy 24-byte payload so pre-validation
-        // records and new zero-reason records are byte-identical.
-        if self.reason != 0 {
-            p.extend_from_slice(&self.reason.to_le_bytes());
-        }
-        frame(RESULT_MAGIC, &p)
+    /// The sealed record (`POOL_RESULT`).
+    pub fn encode(&self) -> Vec<u8> {
+        envelope::seal(POOL_RESULT, 28, |p| {
+            put_le!(p, self.member, self.epoch, self.code, self.pid, self.fc_crc);
+            // Reason 0 keeps the legacy 24-byte body so pre-validation
+            // records and new zero-reason records are byte-identical.
+            if self.reason != 0 {
+                put_le!(p, self.reason);
+            }
+        })
     }
 
-    fn decode(raw: &[u8]) -> io::Result<ResultRecord> {
-        let p = unframe(RESULT_MAGIC, raw, "result record")?;
-        // 24 bytes is a pre-validation record (reason 0); 28 carries a
-        // validator reason code.
-        if p.len() != 24 && p.len() != 28 {
-            return Err(bad("result record", "length mismatch"));
-        }
-        Ok(ResultRecord {
-            member: u64::from_le_bytes(p[..8].try_into().unwrap()),
-            epoch: u32::from_le_bytes(p[8..12].try_into().unwrap()),
-            code: i32::from_le_bytes(p[12..16].try_into().unwrap()),
-            pid: u32::from_le_bytes(p[16..20].try_into().unwrap()),
-            fc_crc: u32::from_le_bytes(p[20..24].try_into().unwrap()),
-            reason: if p.len() == 28 {
-                u32::from_le_bytes(p[24..28].try_into().unwrap())
-            } else {
-                0
-            },
+    /// Decode a sealed result record; a pre-validation record (no
+    /// reason) reads as reason 0.
+    pub fn decode(raw: &[u8]) -> Result<ResultRecord, EnvelopeError> {
+        envelope::open_with(POOL_RESULT, raw, |r| {
+            Ok(ResultRecord {
+                member: r.u64()?,
+                epoch: r.u32()?,
+                code: r.i32()?,
+                pid: r.u32()?,
+                fc_crc: r.u32()?,
+                reason: if r.is_empty() { 0 } else { r.u32()? },
+            })
         })
     }
 }
@@ -296,21 +231,17 @@ pub struct Heartbeat {
 }
 
 impl Heartbeat {
-    fn encode(&self) -> Vec<u8> {
-        let mut p = Vec::with_capacity(12);
-        p.extend_from_slice(&self.pid.to_le_bytes());
-        p.extend_from_slice(&self.counter.to_le_bytes());
-        frame(HEARTBEAT_MAGIC, &p)
+    /// The sealed record (`POOL_HEARTBEAT`).
+    pub fn encode(&self) -> Vec<u8> {
+        envelope::seal(POOL_HEARTBEAT, 12, |p| {
+            put_le!(p, self.pid, self.counter);
+        })
     }
 
-    fn decode(raw: &[u8]) -> io::Result<Heartbeat> {
-        let p = unframe(HEARTBEAT_MAGIC, raw, "heartbeat")?;
-        if p.len() != 12 {
-            return Err(bad("heartbeat", "length mismatch"));
-        }
-        Ok(Heartbeat {
-            pid: u32::from_le_bytes(p[..4].try_into().unwrap()),
-            counter: u64::from_le_bytes(p[4..12].try_into().unwrap()),
+    /// Decode a sealed heartbeat record.
+    pub fn decode(raw: &[u8]) -> Result<Heartbeat, EnvelopeError> {
+        envelope::open_with(POOL_HEARTBEAT, raw, |r| {
+            Ok(Heartbeat { pid: r.u32()?, counter: r.u64()? })
         })
     }
 }
@@ -596,7 +527,8 @@ impl TaskPool {
     /// The name is validated to stay inside the results directory.
     pub fn write_trace_sidecar(&self, file_name: &str, bytes: &[u8]) -> io::Result<()> {
         if !valid_sidecar_name(file_name) {
-            return Err(bad("trace sidecar", "invalid sidecar file name"));
+            let why = format!("invalid trace sidecar file name {file_name:?}");
+            return Err(io::Error::new(io::ErrorKind::InvalidData, why));
         }
         atomic_write(self.results_dir().join(file_name), bytes)
     }

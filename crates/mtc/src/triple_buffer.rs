@@ -12,9 +12,12 @@
 //! the safe slot without ever blocking the writer for long. The paper's
 //! invariant holds: the reader always sees a *complete, consistent*
 //! version, never a half-written one, and the writer never overwrites
-//! the version currently being read.
+//! the version currently being read. [`DiskTripleBuffer`] runs the same
+//! protocol on real files, each a sealed `COVARIANCE` record of the
+//! framing envelope ([`esse_core::durable::envelope`]).
 
-use esse_core::durable::{atomic_write, crc32, fsync_dir};
+use esse_core::durable::envelope::{self, COVARIANCE};
+use esse_core::durable::{atomic_write, fsync_dir};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -64,11 +67,6 @@ impl<T> TripleBuffer<T> {
     }
 }
 
-/// Magic prefix of a safe/live covariance frame on disk.
-const DISK_MAGIC: &[u8; 4] = b"ESTB";
-/// Format version of the on-disk frame.
-const DISK_VERSION: u8 = 1;
-
 /// The paper §4.1 three-file safe/live covariance protocol on real
 /// disk: the writer (differ) alternates between two *live* files —
 /// chosen by version parity, so the file currently being rewritten is
@@ -78,10 +76,9 @@ const DISK_VERSION: u8 = 1;
 /// their CRC-32 trailer, so a writer killed mid-`publish` leaves at
 /// worst one torn live file and a stale-but-intact safe file.
 ///
-/// Frame layout: `"ESTB"` + format byte + `u64` version counter +
-/// `u64` payload length + payload bytes + CRC-32 trailer over all of
-/// the preceding bytes. The payload is opaque (the workflow stores an
-/// encoded error subspace).
+/// A record's body is the `u64` version counter, the `u64` payload
+/// length and the payload. The payload is opaque (the workflow stores
+/// an encoded error subspace).
 pub struct DiskTripleBuffer {
     dir: PathBuf,
     write_lock: Mutex<()>,
@@ -110,33 +107,18 @@ impl DiskTripleBuffer {
     }
 
     fn encode(payload: &[u8], version: u64) -> Vec<u8> {
-        let mut frame = Vec::with_capacity(4 + 1 + 8 + 8 + payload.len() + 4);
-        frame.extend_from_slice(DISK_MAGIC);
-        frame.push(DISK_VERSION);
-        frame.extend_from_slice(&version.to_le_bytes());
-        frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        frame.extend_from_slice(payload);
-        let crc = crc32(&frame);
-        frame.extend_from_slice(&crc.to_le_bytes());
-        frame
+        envelope::seal(COVARIANCE, 16 + payload.len(), |out| {
+            esse_obs::put_le!(out, version, payload.len() as u64);
+            out.extend_from_slice(payload);
+        })
     }
 
     fn decode(raw: &[u8]) -> Option<(Vec<u8>, u64)> {
-        if raw.len() < 4 + 1 + 8 + 8 + 4 || &raw[..4] != DISK_MAGIC {
-            return None;
-        }
-        let (body, trailer) = raw.split_at(raw.len() - 4);
-        let stored = u32::from_le_bytes(trailer.try_into().ok()?);
-        if crc32(body) != stored || body[4] != DISK_VERSION {
-            return None;
-        }
-        let version = u64::from_le_bytes(body[5..13].try_into().ok()?);
-        let len = u64::from_le_bytes(body[13..21].try_into().ok()?) as usize;
-        let payload = &body[21..];
-        if payload.len() != len {
-            return None;
-        }
-        Some((payload.to_vec(), version))
+        let frame = envelope::open_with(COVARIANCE, raw, |r| {
+            let (version, len) = (r.u64()?, r.u64()?);
+            Ok((r.take(usize::try_from(len).unwrap_or(usize::MAX))?.to_vec(), version))
+        });
+        frame.ok()
     }
 
     /// Writer side: write the frame to the live file selected by the
@@ -199,9 +181,13 @@ impl DiskTripleBuffer {
     /// A torn file (writer killed mid-write) simply loses the vote —
     /// it is never returned, so a resumed run can only continue from a
     /// complete, consistent covariance snapshot.
+    ///
+    /// The safe file is read last, so successive calls never go
+    /// backwards under a live writer: a live file holding version `v`
+    /// is rewritten only after `v + 1` reached the safe file.
     pub fn recover(&self) -> io::Result<Option<(Vec<u8>, u64)>> {
         let mut best: Option<(Vec<u8>, u64)> = None;
-        for name in [Self::SAFE, Self::LIVE[0], Self::LIVE[1]] {
+        for name in [Self::LIVE[0], Self::LIVE[1], Self::SAFE] {
             let raw = match fs::read(self.dir.join(name)) {
                 Ok(raw) => raw,
                 Err(e) if e.kind() == io::ErrorKind::NotFound => continue,

@@ -2127,16 +2127,75 @@ mod tests {
         }
     }
 
+    /// Forces the interleaving `worker_death_reassigns_the_task` needs:
+    /// the first three member forecasts wait until all three have
+    /// started (so each worker holds exactly one task), and every later
+    /// one waits until a task has failed. The two live workers then park
+    /// in their second forecast, and only the doomed worker is left to
+    /// claim — and die on — its second task. As the run's recorder the
+    /// gate observes that failure. The waits time out after 10 s, so a
+    /// broken engine fails the test instead of hanging it.
+    struct DeathGate<'a> {
+        model: &'a LinearGaussianModel,
+        /// (forecasts started, a task has failed)
+        state: Mutex<(usize, bool)>,
+        wake: std::sync::Condvar,
+    }
+
+    impl ForecastModel for DeathGate<'_> {
+        fn state_dim(&self) -> usize {
+            self.model.state_dim()
+        }
+
+        fn forecast(
+            &self,
+            x0: &[f64],
+            start_time: f64,
+            duration: f64,
+            seed: Option<u64>,
+        ) -> Result<Vec<f64>, ForecastError> {
+            // Only member forecasts are gated, not the central one.
+            if seed.is_some() {
+                let mut st = crate::lock(&self.state);
+                st.0 += 1;
+                self.wake.notify_all();
+                let first_round = st.0 <= 3;
+                let timeout = Duration::from_secs(10);
+                let wait = |s: &mut (usize, bool)| if first_round { s.0 < 3 } else { !s.1 };
+                drop(self.wake.wait_timeout_while(st, timeout, wait).expect("gate lock"));
+            }
+            self.model.forecast(x0, start_time, duration, seed)
+        }
+    }
+
+    impl Recorder for DeathGate<'_> {
+        fn now_ns(&self) -> u64 {
+            0
+        }
+
+        fn record(&self, ev: esse_obs::Event) {
+            if ev.name == "member_failed" {
+                crate::lock(&self.state).1 = true;
+                self.wake.notify_all();
+            }
+        }
+
+        fn observe(&self, _name: &'static str, _latency_ns: u64) {}
+    }
+
     #[test]
     fn worker_death_reassigns_the_task() {
         let (model, prior, mean) = setup();
+        let gate =
+            DeathGate { model: &model, state: Mutex::new((0, false)), wake: Default::default() };
         let mut cfg = config(3);
         cfg.tolerance = 1e-12;
         cfg.schedule = EnsembleSchedule::new(16, 16);
         cfg.pool_factor = 1.0;
         cfg.faults = Some(FaultPlan::seeded(5).with_worker_death(1, 2));
         cfg.retry = RetryPolicy::retries(3);
-        let out = MtcEsse::new(&model, cfg).run(RunInit::new(&mean, &prior)).unwrap();
+        let engine = MtcEsse::new(&gate, cfg).with_recorder(&gate);
+        let out = engine.run(RunInit::new(&mean, &prior)).unwrap();
         assert_eq!(out.faults.workers_died, 1);
         assert!(out.faults.retries >= 1, "the dying worker's task must be requeued");
         assert_eq!(out.members_failed, 0);

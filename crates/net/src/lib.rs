@@ -3,8 +3,8 @@
 //! The on-disk pool of `esse-mtc` assumes every worker can see the
 //! coordinator's filesystem — the paper's home-cluster NFS setup. This
 //! crate removes that assumption with a hand-rolled TCP protocol:
-//! length-prefixed, CRC-framed messages ([`frame`], [`msg`]), a
-//! worker-side [`client::TcpTransport`] implementing the
+//! messages in the framing envelope's stream frames ([`frame`],
+//! [`msg`]), a worker-side [`client::TcpTransport`] implementing the
 //! [`PoolTransport`] trait, and a coordinator-side [`server::NetServer`]
 //! that proxies each remote worker's claims, heartbeats and result
 //! streams onto the local on-disk pool, so local and remote workers are

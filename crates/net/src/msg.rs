@@ -2,7 +2,11 @@
 //!
 //! Every message body is `type byte + fields`, fields in fixed order,
 //! integers little-endian, strings and blobs length-prefixed with a
-//! `u32`. The conversation is strictly worker-initiated
+//! `u32` and read back with the envelope's [`Reader`]. Task specs,
+//! heartbeats, result records and the run manifest travel as the
+//! pool's own sealed records (a length-prefixed blob each), so each
+//! record type has exactly one codec whether it crosses a filesystem or
+//! a socket. The conversation is strictly worker-initiated
 //! request/response over one connection:
 //!
 //! ```text
@@ -28,14 +32,15 @@
 //! epoch. The reply is advisory — the coordinator's own epoch check on
 //! ingest remains the only authority on staleness.
 
-use crate::frame::MAX_FRAME;
+use esse_core::durable::envelope::{self, put_bytes, EnvelopeError, Reader};
 use esse_mtc::pool::{Heartbeat, PoolManifest, ResultRecord, TaskSpec};
-use std::fmt;
+use esse_obs::put_le;
 
 /// Protocol revision; bumped on any wire-incompatible change. A
 /// coordinator rejects a `Hello` carrying any other value.
-/// (v2: `Result` carries the validator reason code; `Rejected` added.)
-pub const PROTO_VERSION: u32 = 2;
+/// (v2: `Result` carries the validator reason code; `Rejected` added.
+/// v3: the journal's frame layout; pool records travel sealed.)
+pub const PROTO_VERSION: u32 = 3;
 
 /// Preferred chunk size for `Data` frames of a result stream.
 pub const DATA_CHUNK: usize = 256 * 1024;
@@ -153,40 +158,9 @@ pub enum Message {
     },
 }
 
-/// Why a frame body failed to decode as a message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MsgError {
-    /// Body ended before the message did.
-    Truncated,
-    /// Unknown type byte.
-    BadType(u8),
-    /// A string field was not UTF-8.
-    BadUtf8,
-    /// Bytes left over after the message.
-    TrailingBytes(usize),
-    /// A length-prefixed field exceeded the frame cap.
-    FieldTooLarge(usize),
-}
-
-impl fmt::Display for MsgError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MsgError::Truncated => write!(f, "message body truncated"),
-            MsgError::BadType(t) => write!(f, "unknown message type {t:#04x}"),
-            MsgError::BadUtf8 => write!(f, "string field is not utf-8"),
-            MsgError::TrailingBytes(n) => write!(f, "{n} trailing bytes after message"),
-            MsgError::FieldTooLarge(n) => write!(f, "field of {n} bytes exceeds frame cap"),
-        }
-    }
-}
-
-impl std::error::Error for MsgError {}
-
-impl From<MsgError> for std::io::Error {
-    fn from(e: MsgError) -> std::io::Error {
-        std::io::Error::new(std::io::ErrorKind::InvalidData, e)
-    }
-}
+/// Why a frame body failed to decode as a message: the envelope's
+/// typed error (a nested sealed record fails the same way on disk).
+pub type MsgError = EnvelopeError;
 
 const T_HELLO: u8 = 0x01;
 const T_WELCOME: u8 = 0x02;
@@ -211,244 +185,98 @@ const T_TRACE: u8 = 0x14;
 const T_TRACE_ACK: u8 = 0x15;
 const T_REJECTED: u8 = 0x16;
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], MsgError> {
-        if self.pos + n > self.buf.len() {
-            return Err(MsgError::Truncated);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, MsgError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, MsgError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, MsgError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn i32(&mut self) -> Result<i32, MsgError> {
-        Ok(i32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, MsgError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn blob(&mut self) -> Result<Vec<u8>, MsgError> {
-        let n = self.u32()? as usize;
-        if n > MAX_FRAME {
-            return Err(MsgError::FieldTooLarge(n));
-        }
-        Ok(self.take(n)?.to_vec())
-    }
-
-    fn string(&mut self) -> Result<String, MsgError> {
-        String::from_utf8(self.blob()?).map_err(|_| MsgError::BadUtf8)
-    }
-
-    fn done(&self) -> Result<(), MsgError> {
-        match self.buf.len() - self.pos {
-            0 => Ok(()),
-            n => Err(MsgError::TrailingBytes(n)),
-        }
-    }
-}
-
-fn put_blob(out: &mut Vec<u8>, b: &[u8]) {
-    out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-    out.extend_from_slice(b);
-}
-
-fn put_spec(out: &mut Vec<u8>, spec: &TaskSpec) {
-    out.extend_from_slice(&spec.member.to_le_bytes());
-    out.extend_from_slice(&spec.epoch.to_le_bytes());
-    out.extend_from_slice(&spec.seed.to_le_bytes());
-    out.extend_from_slice(&spec.parent_span.to_le_bytes());
-}
-
-fn get_spec(r: &mut Reader<'_>) -> Result<TaskSpec, MsgError> {
-    Ok(TaskSpec { member: r.u64()?, epoch: r.u32()?, seed: r.u64()?, parent_span: r.u64()? })
-}
-
-fn put_rec(out: &mut Vec<u8>, rec: &ResultRecord) {
-    out.extend_from_slice(&rec.member.to_le_bytes());
-    out.extend_from_slice(&rec.epoch.to_le_bytes());
-    out.extend_from_slice(&rec.code.to_le_bytes());
-    out.extend_from_slice(&rec.pid.to_le_bytes());
-    out.extend_from_slice(&rec.fc_crc.to_le_bytes());
-    out.extend_from_slice(&rec.reason.to_le_bytes());
-}
-
-fn get_rec(r: &mut Reader<'_>) -> Result<ResultRecord, MsgError> {
-    Ok(ResultRecord {
-        member: r.u64()?,
-        epoch: r.u32()?,
-        code: r.i32()?,
-        pid: r.u32()?,
-        fc_crc: r.u32()?,
-        reason: r.u32()?,
-    })
+/// A type byte, then each blob with its `u32` length prefix.
+fn tagged(out: &mut Vec<u8>, tag: u8, blobs: &[&[u8]]) {
+    out.push(tag);
+    blobs.iter().for_each(|b| put_bytes(out, b));
 }
 
 impl Message {
     /// Encode into a frame body (type byte first).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(32);
+        let o = &mut out;
         match self {
             Message::Hello { proto, worker_id, pid, config_hash } => {
-                out.push(T_HELLO);
-                out.extend_from_slice(&proto.to_le_bytes());
-                out.extend_from_slice(&worker_id.to_le_bytes());
-                out.extend_from_slice(&pid.to_le_bytes());
-                out.extend_from_slice(&config_hash.to_le_bytes());
+                put_le!(o, T_HELLO, proto, worker_id, pid, config_hash)
             }
             Message::Welcome { manifest, mean, prior } => {
-                out.push(T_WELCOME);
-                put_blob(&mut out, manifest.domain.as_bytes());
-                out.extend_from_slice(&manifest.hours.to_le_bytes());
-                out.extend_from_slice(&manifest.white_noise.to_le_bytes());
-                out.extend_from_slice(&manifest.base_seed.to_le_bytes());
-                out.extend_from_slice(&manifest.lease_ms.to_le_bytes());
-                out.extend_from_slice(&manifest.config_hash.to_le_bytes());
-                out.extend_from_slice(&manifest.trace_run_id.to_le_bytes());
-                put_blob(&mut out, mean);
-                put_blob(&mut out, prior);
+                tagged(o, T_WELCOME, &[&manifest.encode(), mean, prior])
             }
-            Message::Reject { reason } => {
-                out.push(T_REJECT);
-                put_blob(&mut out, reason.as_bytes());
-            }
-            Message::Claim => out.push(T_CLAIM),
-            Message::Task { spec } => {
-                out.push(T_TASK);
-                put_spec(&mut out, spec);
-            }
-            Message::Idle => out.push(T_IDLE),
-            Message::Cancelled => out.push(T_CANCELLED),
-            Message::Shutdown => out.push(T_SHUTDOWN),
-            Message::Renew { spec, hb } => {
-                out.push(T_RENEW);
-                put_spec(&mut out, spec);
-                out.extend_from_slice(&hb.pid.to_le_bytes());
-                out.extend_from_slice(&hb.counter.to_le_bytes());
-            }
-            Message::RenewOk => out.push(T_RENEW_OK),
-            Message::Fenced => out.push(T_FENCED),
+            Message::Reject { reason } => tagged(o, T_REJECT, &[reason.as_bytes()]),
+            Message::Claim => o.push(T_CLAIM),
+            Message::Task { spec } => tagged(o, T_TASK, &[&spec.encode()]),
+            Message::Idle => o.push(T_IDLE),
+            Message::Cancelled => o.push(T_CANCELLED),
+            Message::Shutdown => o.push(T_SHUTDOWN),
+            Message::Renew { spec, hb } => tagged(o, T_RENEW, &[&spec.encode(), &hb.encode()]),
+            Message::RenewOk => o.push(T_RENEW_OK),
+            Message::Fenced => o.push(T_FENCED),
             Message::Result { rec, payload_len } => {
-                out.push(T_RESULT);
-                put_rec(&mut out, rec);
-                out.extend_from_slice(&payload_len.to_le_bytes());
+                tagged(o, T_RESULT, &[&rec.encode()]);
+                put_le!(o, payload_len);
             }
-            Message::Rejected { rec } => {
-                out.push(T_REJECTED);
-                put_rec(&mut out, rec);
-            }
-            Message::Data { chunk } => {
-                out.push(T_DATA);
-                put_blob(&mut out, chunk);
-            }
-            Message::ResultEnd => out.push(T_RESULT_END),
-            Message::ResultAck => out.push(T_RESULT_ACK),
-            Message::Release { spec } => {
-                out.push(T_RELEASE);
-                put_spec(&mut out, spec);
-            }
-            Message::ReleaseAck => out.push(T_RELEASE_ACK),
-            Message::Query => out.push(T_QUERY),
+            Message::Rejected { rec } => tagged(o, T_REJECTED, &[&rec.encode()]),
+            Message::Data { chunk } => tagged(o, T_DATA, &[chunk]),
+            Message::ResultEnd => o.push(T_RESULT_END),
+            Message::ResultAck => o.push(T_RESULT_ACK),
+            Message::Release { spec } => tagged(o, T_RELEASE, &[&spec.encode()]),
+            Message::ReleaseAck => o.push(T_RELEASE_ACK),
+            Message::Query => o.push(T_QUERY),
             Message::RunInfo { cancelled, shutdown } => {
-                out.push(T_RUN_INFO);
-                out.push(u8::from(*cancelled));
-                out.push(u8::from(*shutdown));
+                put_le!(o, T_RUN_INFO, u8::from(*cancelled), u8::from(*shutdown))
             }
-            Message::Trace { bytes } => {
-                out.push(T_TRACE);
-                put_blob(&mut out, bytes);
-            }
-            Message::TraceAck { server_ns } => {
-                out.push(T_TRACE_ACK);
-                out.extend_from_slice(&server_ns.to_le_bytes());
-            }
+            Message::Trace { bytes } => tagged(o, T_TRACE, &[bytes]),
+            Message::TraceAck { server_ns } => put_le!(o, T_TRACE_ACK, server_ns),
         }
         out
     }
 
     /// Decode a frame body. The whole body must be consumed.
     pub fn decode(body: &[u8]) -> Result<Message, MsgError> {
-        let mut r = Reader::new(body);
-        let msg = match r.u8()? {
+        envelope::read_all(body, Self::read)
+    }
+
+    fn read(r: &mut Reader) -> Result<Message, MsgError> {
+        Ok(match r.u8()? {
             T_HELLO => Message::Hello {
                 proto: r.u32()?,
                 worker_id: r.u64()?,
                 pid: r.u32()?,
                 config_hash: r.u64()?,
             },
-            T_WELCOME => {
-                let domain = r.string()?;
-                let hours = r.f64()?;
-                let white_noise = r.f64()?;
-                let base_seed = r.u64()?;
-                let lease_ms = r.u64()?;
-                let config_hash = r.u64()?;
-                let trace_run_id = r.u64()?;
-                let mean = r.blob()?;
-                let prior = r.blob()?;
-                Message::Welcome {
-                    manifest: PoolManifest {
-                        domain,
-                        hours,
-                        white_noise,
-                        base_seed,
-                        lease_ms,
-                        config_hash,
-                        trace_run_id,
-                    },
-                    mean,
-                    prior,
-                }
-            }
+            T_WELCOME => Message::Welcome {
+                manifest: PoolManifest::decode(r.bytes()?)?,
+                mean: r.bytes()?.to_vec(),
+                prior: r.bytes()?.to_vec(),
+            },
             T_REJECT => Message::Reject { reason: r.string()? },
             T_CLAIM => Message::Claim,
-            T_TASK => Message::Task { spec: get_spec(&mut r)? },
+            T_TASK => Message::Task { spec: TaskSpec::decode(r.bytes()?)? },
             T_IDLE => Message::Idle,
             T_CANCELLED => Message::Cancelled,
             T_SHUTDOWN => Message::Shutdown,
             T_RENEW => Message::Renew {
-                spec: get_spec(&mut r)?,
-                hb: Heartbeat { pid: r.u32()?, counter: r.u64()? },
+                spec: TaskSpec::decode(r.bytes()?)?,
+                hb: Heartbeat::decode(r.bytes()?)?,
             },
             T_RENEW_OK => Message::RenewOk,
             T_FENCED => Message::Fenced,
-            T_RESULT => Message::Result { rec: get_rec(&mut r)?, payload_len: r.u64()? },
-            T_REJECTED => Message::Rejected { rec: get_rec(&mut r)? },
-            T_DATA => Message::Data { chunk: r.blob()? },
+            T_RESULT => {
+                Message::Result { rec: ResultRecord::decode(r.bytes()?)?, payload_len: r.u64()? }
+            }
+            T_REJECTED => Message::Rejected { rec: ResultRecord::decode(r.bytes()?)? },
+            T_DATA => Message::Data { chunk: r.bytes()?.to_vec() },
             T_RESULT_END => Message::ResultEnd,
             T_RESULT_ACK => Message::ResultAck,
-            T_RELEASE => Message::Release { spec: get_spec(&mut r)? },
+            T_RELEASE => Message::Release { spec: TaskSpec::decode(r.bytes()?)? },
             T_RELEASE_ACK => Message::ReleaseAck,
             T_QUERY => Message::Query,
             T_RUN_INFO => Message::RunInfo { cancelled: r.u8()? != 0, shutdown: r.u8()? != 0 },
-            T_TRACE => Message::Trace { bytes: r.blob()? },
+            T_TRACE => Message::Trace { bytes: r.bytes()?.to_vec() },
             T_TRACE_ACK => Message::TraceAck { server_ns: r.u64()? },
             t => return Err(MsgError::BadType(t)),
-        };
-        r.done()?;
-        Ok(msg)
+        })
     }
 
     /// Short name for logs and trace events.

@@ -21,10 +21,10 @@
 //!
 //! [`LeaseWatch`]: esse_mtc::pool::LeaseWatch
 
-use crate::frame::write_frame;
+use crate::frame::{write_frame, FRAME_OVERHEAD, MAX_FRAME};
 use crate::msg::{Message, PROTO_VERSION};
 use crate::names;
-use esse_core::durable::atomic_write;
+use esse_core::durable::{atomic_write, envelope};
 use esse_mtc::pool::{PoolManifest, TaskPool, TaskSpec, CLAIMED_DIR};
 use esse_obs::recorder::{Recorder, RecorderExt};
 use esse_obs::registry::{Counter, MetricsRegistry};
@@ -288,34 +288,22 @@ fn accept_loop(
     }
 }
 
-/// Read the frame header + body, tolerating read timeouts so the
-/// connection thread can observe the stop flag while idle. Returns
-/// `Ok(None)` when the server is stopping and no frame is in flight.
+/// Read one frame, tolerating read timeouts so the connection thread
+/// can observe the stop flag while idle, and check it through the
+/// envelope. Returns `Ok(None)` when the server is stopping and no
+/// frame is in flight.
 fn read_frame_or_stop(stream: &mut TcpStream, stop: &AtomicBool) -> io::Result<Option<Vec<u8>>> {
-    let mut header = [0u8; 4];
-    match read_exact_patient(stream, &mut header, stop, true)? {
-        ReadOutcome::Stopped => return Ok(None),
-        ReadOutcome::Done => {}
+    let mut head = [0u8; FRAME_OVERHEAD];
+    if let ReadOutcome::Stopped = read_exact_patient(stream, &mut head, stop, true)? {
+        return Ok(None);
     }
-    let len = u32::from_le_bytes(header) as usize;
-    if len > crate::frame::MAX_FRAME {
-        return Err(crate::frame::FrameError::TooLarge { advertised: len }.into());
+    let [a, b, c, d, ..] = head;
+    let mut body = vec![0u8; envelope::frame_len([a, b, c, d])?];
+    if let ReadOutcome::Stopped = read_exact_patient(stream, &mut body, stop, false)? {
+        return Ok(None);
     }
-    if len == 0 {
-        return Err(crate::frame::FrameError::Empty.into());
-    }
-    let mut rest = vec![0u8; len + 4];
-    match read_exact_patient(stream, &mut rest, stop, false)? {
-        ReadOutcome::Stopped => return Ok(None),
-        ReadOutcome::Done => {}
-    }
-    let (body, trailer) = rest.split_at(len);
-    let expected = u32::from_le_bytes(trailer.try_into().unwrap());
-    let actual = esse_core::durable::crc32(body);
-    if expected != actual {
-        return Err(crate::frame::FrameError::Corrupt { expected, actual }.into());
-    }
-    Ok(Some(body.to_vec()))
+    envelope::check_frame(head, &body)?;
+    Ok(Some(body))
 }
 
 enum ReadOutcome {
@@ -560,7 +548,7 @@ fn read_result_stream(
     stop: &AtomicBool,
     payload_len: u64,
 ) -> io::Result<Vec<u8>> {
-    let mut payload = Vec::with_capacity(payload_len.min(crate::frame::MAX_FRAME as u64) as usize);
+    let mut payload = Vec::with_capacity(payload_len.min(MAX_FRAME as u64) as usize);
     loop {
         let Some(body) = read_frame_or_stop(stream, stop)? else {
             return Err(io::Error::new(

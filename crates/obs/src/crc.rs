@@ -1,8 +1,8 @@
-//! The IEEE CRC-32 checksum (the polynomial used by zip/PNG/Ethernet),
-//! shared by every framed format in the workspace: span batches here,
-//! and — re-exported through `esse_core::durable` — pool records, wire
-//! frames, journal records and the vector/subspace files. One table,
-//! one integrity story.
+//! The IEEE CRC-32 checksum (the polynomial used by zip/PNG/Ethernet).
+//! The framing envelope ([`crate::envelope`]) is its one user: every
+//! sealed record and stream frame in the workspace is checked through
+//! it. `esse_core::durable` re-exports it for the forecast fingerprints
+//! workers publish in their result records.
 
 /// The CRC-32 (IEEE 802.3) lookup table, built at compile time.
 const CRC_TABLE: [u32; 256] = {

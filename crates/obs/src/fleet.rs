@@ -10,12 +10,13 @@
 //! timeline until rebased. This module provides the three pieces that
 //! turn per-process ring buffers into one fleet-wide timeline:
 //!
-//! * [`SpanBatch`] — a CRC-framed, self-describing batch of finished
-//!   worker events, shipped to the coordinator as a sidecar file next
-//!   to the task's result record (disk transport) or as a `TRACE`
-//!   protocol message (TCP transport). Truncated or bit-flipped batches
-//!   decode to an error, never to wrong data — a SIGKILL'd worker's
-//!   partial batch is simply dropped.
+//! * [`SpanBatch`] — a sealed ([`crate::envelope::SPAN_BATCH`]),
+//!   self-describing batch of finished worker events, shipped to the
+//!   coordinator as a sidecar file next to the task's result record
+//!   (disk transport) or as a `TRACE` protocol message (TCP
+//!   transport). Truncated or bit-flipped batches decode to an error,
+//!   never to wrong data — a SIGKILL'd worker's partial batch is
+//!   simply dropped.
 //! * [`SkewEstimator`] — interval-intersection clock alignment in the
 //!   spirit of NTP's request/response midpoint, using only ordering
 //!   facts both sides already record (enqueue before claim, claim seen
@@ -31,15 +32,12 @@
 //! offset is clamped into the feasibility interval, cross-process edges
 //! never point backwards when the interval is non-empty.
 
-use crate::crc::crc32;
+use crate::envelope::{self, EnvelopeError, Reader, SPAN_BATCH};
 use crate::event::{ArgValue, Event, EventKind, Lane};
+use crate::put_le;
 use crate::trace::Trace;
 use std::collections::BTreeMap;
 
-/// Frame magic for an encoded span batch (`ESTB` = ESse Trace Batch).
-pub const BATCH_MAGIC: [u8; 4] = *b"ESTB";
-/// Batch format version.
-pub const BATCH_VERSION: u8 = 1;
 /// Decode refuses batches claiming more events than this (corruption
 /// guard: a flipped length byte must not trigger a huge allocation).
 pub const MAX_BATCH_EVENTS: u32 = 1 << 20;
@@ -274,79 +272,48 @@ impl SpanBatch {
         out
     }
 
-    /// Serialize to the CRC-framed wire/file format.
+    /// Serialize to the sealed wire/file format.
     pub fn encode(&self) -> Vec<u8> {
-        let mut p = Vec::with_capacity(64 + self.events.len() * 48);
-        p.extend_from_slice(&self.run_id.to_le_bytes());
-        p.extend_from_slice(&self.worker_id.to_le_bytes());
-        p.extend_from_slice(&self.member.to_le_bytes());
-        p.extend_from_slice(&self.epoch.to_le_bytes());
-        p.push(self.final_flush as u8);
-        p.extend_from_slice(&self.dropped.to_le_bytes());
-        p.extend_from_slice(&(self.events.len() as u32).to_le_bytes());
-        for ev in &self.events {
-            p.push(match ev.kind {
-                RemoteKind::Begin => 0,
-                RemoteKind::End => 1,
-                RemoteKind::Instant => 2,
-            });
-            p.extend_from_slice(&ev.ts_ns.to_le_bytes());
-            put_str(&mut p, &ev.cat);
-            put_str(&mut p, &ev.name);
-            p.push(ev.args.len().min(255) as u8);
-            for (k, v) in ev.args.iter().take(255) {
-                put_str(&mut p, k);
-                match v {
-                    ArgValue::U64(x) => {
-                        p.push(0);
-                        p.extend_from_slice(&x.to_le_bytes());
-                    }
-                    ArgValue::F64(x) => {
-                        p.push(1);
-                        p.extend_from_slice(&x.to_bits().to_le_bytes());
-                    }
-                    ArgValue::Str(s) => {
-                        p.push(2);
-                        let b = s.as_bytes();
-                        let n = b.len().min(u16::MAX as usize);
-                        p.extend_from_slice(&(n as u16).to_le_bytes());
-                        p.extend_from_slice(&b[..n]);
-                    }
-                    ArgValue::Bool(x) => {
-                        p.push(3);
-                        p.push(*x as u8);
+        envelope::seal(SPAN_BATCH, 37 + self.events.len() * 48, |p| {
+            put_le!(p, self.run_id, self.worker_id, self.member, self.epoch);
+            put_le!(p, self.final_flush as u8, self.dropped, self.events.len() as u32);
+            for ev in &self.events {
+                p.push(match ev.kind {
+                    RemoteKind::Begin => 0,
+                    RemoteKind::End => 1,
+                    RemoteKind::Instant => 2,
+                });
+                put_le!(p, ev.ts_ns);
+                put_str(p, &ev.cat);
+                put_str(p, &ev.name);
+                p.push(ev.args.len().min(255) as u8);
+                for (k, v) in ev.args.iter().take(255) {
+                    put_str(p, k);
+                    match v {
+                        ArgValue::U64(x) => put_le!(p, 0u8, x),
+                        ArgValue::F64(x) => put_le!(p, 1u8, x),
+                        ArgValue::Str(s) => {
+                            p.push(2);
+                            let b = s.as_bytes();
+                            let n = b.len().min(u16::MAX as usize);
+                            put_le!(p, n as u16);
+                            p.extend_from_slice(&b[..n]);
+                        }
+                        ArgValue::Bool(x) => put_le!(p, 3u8, *x as u8),
                     }
                 }
             }
-        }
-        let mut out = Vec::with_capacity(p.len() + 9);
-        out.extend_from_slice(&BATCH_MAGIC);
-        out.push(BATCH_VERSION);
-        out.extend_from_slice(&p);
-        out.extend_from_slice(&crc32(&p).to_le_bytes());
-        out
+        })
     }
 
     /// Decode a batch. Any truncation, trailing garbage, bad magic,
     /// version mismatch, length overflow or checksum failure is an
     /// `Err` — never a panic, never silently-wrong data.
     pub fn decode(bytes: &[u8]) -> Result<Self, String> {
-        if bytes.len() < 9 {
-            return Err(format!("batch too short: {} bytes", bytes.len()));
-        }
-        if bytes[..4] != BATCH_MAGIC {
-            return Err("bad batch magic".into());
-        }
-        if bytes[4] != BATCH_VERSION {
-            return Err(format!("unsupported batch version {}", bytes[4]));
-        }
-        let payload = &bytes[5..bytes.len() - 4];
-        let want = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().unwrap());
-        let got = crc32(payload);
-        if want != got {
-            return Err(format!("batch checksum mismatch: {want:#010x} != {got:#010x}"));
-        }
-        let mut r = Cursor { buf: payload, pos: 0 };
+        envelope::open_with(SPAN_BATCH, bytes, Self::read).map_err(|e| format!("span batch: {e}"))
+    }
+
+    fn read(r: &mut Reader) -> Result<Self, EnvelopeError> {
         let run_id = r.u64()?;
         let worker_id = r.u32()?;
         let member = r.u64()?;
@@ -355,36 +322,34 @@ impl SpanBatch {
         let dropped = r.u64()?;
         let n = r.u32()?;
         if n > MAX_BATCH_EVENTS {
-            return Err(format!("batch claims {n} events (max {MAX_BATCH_EVENTS})"));
+            return Err(EnvelopeError::FieldTooLarge(n as usize));
         }
+        let str8 = |r: &mut Reader| r.u8().and_then(|n| r.utf8(n.into()));
         let mut events = Vec::with_capacity(n.min(4096) as usize);
         for _ in 0..n {
             let kind = match r.u8()? {
                 0 => RemoteKind::Begin,
                 1 => RemoteKind::End,
                 2 => RemoteKind::Instant,
-                k => return Err(format!("unknown event kind {k}")),
+                k => return Err(EnvelopeError::BadType(k)),
             };
             let ts_ns = r.u64()?;
-            let cat = r.str8()?;
-            let name = r.str8()?;
+            let cat = str8(r)?;
+            let name = str8(r)?;
             let n_args = r.u8()?;
             let mut args = Vec::with_capacity(n_args as usize);
             for _ in 0..n_args {
-                let key = r.str8()?;
+                let key = str8(r)?;
                 let v = match r.u8()? {
                     0 => ArgValue::U64(r.u64()?),
-                    1 => ArgValue::F64(f64::from_bits(r.u64()?)),
-                    2 => ArgValue::Str(r.str16()?),
+                    1 => ArgValue::F64(r.f64()?),
+                    2 => ArgValue::Str(r.u16().and_then(|n| r.utf8(n.into()))?),
                     3 => ArgValue::Bool(r.u8()? != 0),
-                    t => return Err(format!("unknown arg tag {t}")),
+                    t => return Err(EnvelopeError::BadType(t)),
                 };
                 args.push((key, v));
             }
             events.push(RemoteEvent { kind, ts_ns, cat, name, args });
-        }
-        if r.pos != payload.len() {
-            return Err(format!("{} trailing bytes after batch", payload.len() - r.pos));
         }
         Ok(SpanBatch { run_id, worker_id, member, epoch, final_flush, dropped, events })
     }
@@ -395,42 +360,6 @@ fn put_str(p: &mut Vec<u8>, s: &str) {
     let n = b.len().min(255);
     p.push(n as u8);
     p.extend_from_slice(&b[..n]);
-}
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl Cursor<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], String> {
-        if self.pos + n > self.buf.len() {
-            return Err(format!("batch truncated at byte {} (need {n} more)", self.pos));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn str_n(&mut self, n: usize) -> Result<String, String> {
-        String::from_utf8(self.take(n)?.to_vec()).map_err(|_| "invalid utf-8 in batch".to_string())
-    }
-    fn str8(&mut self) -> Result<String, String> {
-        let n = self.u8()? as usize;
-        self.str_n(n)
-    }
-    fn str16(&mut self) -> Result<String, String> {
-        let n = u16::from_le_bytes(self.take(2)?.try_into().unwrap()) as usize;
-        self.str_n(n)
-    }
 }
 
 // ---------------------------------------------------------------------

@@ -34,6 +34,9 @@
 //!   with Prometheus-text and JSON exposition;
 //! * [`monitor`] — a background heartbeat thread summarizing a run in
 //!   flight and a final [`monitor::RunReport`].
+//! * [`envelope`] — the one framing envelope (magic registry, sealed
+//!   records, stream frames, field reader) every byte format in the
+//!   workspace uses, span batches included.
 //!
 //! One schema serves all three execution layers: the real-thread MTC
 //! engine and the serial driver stamp wall-clock nanoseconds, the
@@ -42,6 +45,7 @@
 
 pub mod analyze;
 pub mod crc;
+pub mod envelope;
 pub mod event;
 pub mod export;
 pub mod fleet;

@@ -3,96 +3,42 @@
 //! The paper's ESSE is file-based: `pert` reads the prior modes and the
 //! mean state from disk and writes a perturbed initial condition;
 //! `pemodel` reads that file and writes the forecast; the diff/SVD
-//! stages work on covariance files. This module defines those formats:
-//! a small magic-tagged header followed by little-endian `f64`s.
-//!
-//! Since the format v2 revision every file written here carries a
-//! format-version byte after the magic and a CRC-32 trailer over
-//! everything before it, so a truncated or bit-flipped file is rejected
-//! with a distinct "corrupt" error instead of being silently ingested
-//! (or mistaken for a mere length mismatch). Readers still accept the
-//! legacy un-checksummed v1 format, so workdirs written by older
-//! binaries remain loadable. All writes go through
+//! stages work on covariance files. The files are sealed records of the
+//! framing envelope ([`esse_core::durable::envelope`], kinds `VECTOR`
+//! and `SUBSPACE`): magic, format-version byte, little-endian `u64`
+//! header words and `f64` values, CRC-32 trailer. The layout itself is
+//! the vector/subspace codec of [`esse_core::durable`]. A truncated or
+//! bit-flipped file is rejected with a distinct "corrupt" error (see
+//! [`is_corrupt_error`]) instead of being silently ingested. Readers
+//! still accept the legacy un-checksummed v1 format (magic, then the
+//! same header and values), so workdirs written by older binaries
+//! remain loadable. All writes go through
 //! [`esse_core::durable::atomic_write`]: temp file, fsync, rename,
 //! fsync the parent directory — a published file survives power loss.
 
-use esse_core::durable::{atomic_write, crc32};
+use esse_core::durable::envelope::{self, EnvelopeError, Reader};
+use esse_core::durable::envelope::{LEGACY_SUBSPACE, LEGACY_VECTOR, SUBSPACE, VECTOR};
+use esse_core::durable::{self, atomic_write};
 use esse_core::subspace::ErrorSubspace;
-use esse_linalg::Matrix;
 use std::fs;
 use std::io;
 use std::path::Path;
 
-const VEC_MAGIC: u32 = 0x4553_5345; // "ESSE" — legacy v1 vector
-const SUB_MAGIC: u32 = 0x4553_5542; // "ESUB" — legacy v1 subspace
-const VEC_MAGIC_V2: u32 = 0x4553_5632; // "ESV2" — checksummed vector
-const SUB_MAGIC_V2: u32 = 0x4553_5332; // "ESS2" — checksummed subspace
+/// Current format version written after the magic.
+pub const FORMAT_VERSION: u8 = VECTOR.version;
 
-/// Current format version written after the magic in v2 files.
-pub const FORMAT_VERSION: u8 = 2;
-
-/// The v2 encoding: magic, version byte, little-endian `u64` header
-/// words, `len` little-endian `f64`s, then a CRC-32 trailer over all of
-/// it. The buffer is sized exactly, so boxing it never reallocates.
-fn encode(magic: u32, header: &[u64], values: impl Iterator<Item = f64>, len: usize) -> Box<[u8]> {
-    let mut buf = Vec::with_capacity(5 + 8 * (header.len() + len) + 4);
-    buf.extend_from_slice(&magic.to_le_bytes());
-    buf.push(FORMAT_VERSION);
-    header.iter().for_each(|h| buf.extend_from_slice(&h.to_le_bytes()));
-    values.for_each(|v| buf.extend_from_slice(&v.to_le_bytes()));
-    let crc = crc32(&buf);
-    buf.extend_from_slice(&crc.to_le_bytes());
-    buf.into_boxed_slice()
-}
-
-/// Strip a file's framing — the v2 magic, version byte and CRC-32
-/// trailer, or a bare legacy v1 magic — and split off `words` header
-/// words, checking the payload holds exactly `values(header)` `f64`s.
-/// v2 failures are *corrupt* errors; legacy v1 mismatches stay plain
-/// invalid data.
-fn decode<'a>(
-    raw: &'a [u8],
-    [v2_magic, v1_magic]: [u32; 2],
-    what: &str,
-    words: usize,
-    values: impl Fn(&[u64]) -> Option<usize>,
-) -> io::Result<(Vec<u64>, &'a [u8])> {
-    let magic = raw.first_chunk().map(|m| u32::from_le_bytes(*m));
-    let (body, v2) = match magic {
-        None => return Err(corrupt(what, "shorter than a magic number")),
-        Some(m) if m == v2_magic => {
-            let body = check_trailer(raw, what)?;
-            if body[4] == 0 || body[4] > FORMAT_VERSION {
-                return Err(corrupt(what, "unknown format version"));
-            }
-            (&body[5..], true)
-        }
-        Some(m) if m == v1_magic => (&raw[4..], false),
-        Some(_) => return Err(bad_data(&format!("not an ESSE {what} file"))),
-    };
-    let fail = |why| if v2 { corrupt(what, why) } else { bad_data(&format!("{what} {why}")) };
-    let (header, payload) =
-        body.split_at_checked(8 * words).ok_or_else(|| fail("truncated header"))?;
-    let header: Vec<u64> = header.chunks_exact(8).map(|w| u64::from_le_bytes(word(w))).collect();
-    if values(&header).and_then(|n| n.checked_mul(8)) != Some(payload.len()) {
-        return Err(fail("size mismatch"));
-    }
-    Ok((header, payload))
-}
-
-fn f64s(bytes: &[u8]) -> impl Iterator<Item = f64> + '_ {
-    bytes.chunks_exact(8).map(|w| f64::from_le_bytes(word(w)))
-}
-
-fn word(w: &[u8]) -> [u8; 8] {
-    w.try_into().expect("chunks_exact(8) yields 8-byte words")
+/// Read a legacy v1 body; its failures are plain invalid data, never
+/// "corrupt" (v1 files carry no checksum to fail).
+fn legacy<T>(body: &[u8], read: fn(&mut Reader) -> Result<T, EnvelopeError>) -> io::Result<T> {
+    let why = |e| io::Error::new(io::ErrorKind::InvalidData, format!("v1 file: {e}"));
+    envelope::read_all(body, read).map_err(why)
 }
 
 /// Encode a state vector into the current (v2, checksummed) on-disk
 /// format. Exposed so the on-disk safe/live covariance protocol can
 /// embed vector payloads without a round-trip through a file.
 pub fn vector_to_bytes(data: &[f64]) -> Box<[u8]> {
-    encode(VEC_MAGIC_V2, &[data.len() as u64], data.iter().copied(), data.len())
+    durable::seal_vector(VECTOR, data).into_boxed_slice()
 }
 
 /// Write a state vector to `path` (durable atomic publish).
@@ -102,9 +48,10 @@ pub fn write_vector(path: impl AsRef<Path>, data: &[f64]) -> io::Result<()> {
 
 /// Decode a state vector from raw file bytes (v2 or legacy v1).
 pub fn vector_from_bytes(raw: &[u8]) -> io::Result<Vec<f64>> {
-    let magics = [VEC_MAGIC_V2, VEC_MAGIC];
-    let (_, payload) = decode(raw, magics, "vector", 1, |h| usize::try_from(h[0]).ok())?;
-    Ok(f64s(payload).collect())
+    match raw.strip_prefix(LEGACY_VECTOR.magic) {
+        Some(body) => legacy(body, durable::vector_fields),
+        None => Ok(envelope::open_with(VECTOR, raw, durable::vector_fields)?),
+    }
 }
 
 /// Read a state vector from `path`.
@@ -120,7 +67,7 @@ pub fn read_vector(path: impl AsRef<Path>) -> io::Result<Vec<f64>> {
 pub fn read_vector_crc(path: impl AsRef<Path>) -> io::Result<(Vec<f64>, u32)> {
     let raw = fs::read(path)?;
     let data = vector_from_bytes(&raw)?;
-    let v2 = raw[..4] == VEC_MAGIC_V2.to_le_bytes();
+    let v2 = raw.starts_with(VECTOR.magic);
     Ok((data, raw.last_chunk().filter(|_| v2).map_or(0, |t| u32::from_le_bytes(*t))))
 }
 
@@ -132,10 +79,7 @@ pub fn vector_file_crc(path: impl AsRef<Path>) -> io::Result<u32> {
 
 /// Encode an error subspace into the current (v2, checksummed) format.
 pub fn subspace_to_bytes(subspace: &ErrorSubspace) -> Box<[u8]> {
-    let (n, k) = subspace.modes.shape();
-    let modes = (0..k).flat_map(|j| subspace.modes.col(j).iter().copied());
-    let values = subspace.variances.iter().copied().chain(modes);
-    encode(SUB_MAGIC_V2, &[n as u64, k as u64], values, k + n * k)
+    durable::seal_subspace(SUBSPACE, subspace).into_boxed_slice()
 }
 
 /// Write an error subspace (modes + variances) to `path`.
@@ -145,15 +89,10 @@ pub fn write_subspace(path: impl AsRef<Path>, subspace: &ErrorSubspace) -> io::R
 
 /// Decode an error subspace from raw file bytes (v2 or legacy v1).
 pub fn subspace_from_bytes(raw: &[u8]) -> io::Result<ErrorSubspace> {
-    let values = |h: &[u64]| {
-        let (n, k) = (usize::try_from(h[0]).ok()?, usize::try_from(h[1]).ok()?);
-        n.checked_mul(k)?.checked_add(k)
-    };
-    let (h, payload) = decode(raw, [SUB_MAGIC_V2, SUB_MAGIC], "subspace", 2, values)?;
-    let (n, k) = (h[0] as usize, h[1] as usize);
-    let mut values = f64s(payload);
-    let variances = values.by_ref().take(k).collect();
-    Ok(ErrorSubspace { modes: Matrix::from_col_major(n, k, values.collect()), variances })
+    match raw.strip_prefix(LEGACY_SUBSPACE.magic) {
+        Some(body) => legacy(body, durable::subspace_fields),
+        None => Ok(envelope::open_with(SUBSPACE, raw, durable::subspace_fields)?),
+    }
 }
 
 /// Read an error subspace from `path`.
@@ -161,37 +100,24 @@ pub fn read_subspace(path: impl AsRef<Path>) -> io::Result<ErrorSubspace> {
     subspace_from_bytes(&fs::read(path)?)
 }
 
-/// Verify the CRC-32 trailer of a v2 file and return the body (all
-/// bytes before the trailer). A missing or mismatched trailer is a
-/// *corrupt file* — distinct from "not an ESSE file" so the caller (or
-/// a resume scan) knows the file was torn or flipped, not misnamed.
-fn check_trailer<'a>(raw: &'a [u8], what: &str) -> io::Result<&'a [u8]> {
-    if raw.len() < 9 {
-        return Err(corrupt(what, "truncated before checksum"));
-    }
-    let (body, trailer) = raw.split_at(raw.len() - 4);
-    let stored = u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
-    if crc32(body) != stored {
-        return Err(corrupt(what, "checksum mismatch"));
-    }
-    Ok(body)
-}
-
-fn bad_data(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
-}
-
-fn corrupt(what: &str, why: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, format!("corrupt ESSE {what} file: {why}"))
-}
-
-/// `true` if `err` is the distinct corrupt-file error produced by the
-/// checksum/version validation above (as opposed to "not an ESSE file"
-/// or an ordinary I/O failure). Resume scans use this to decide between
-/// quarantining a file and treating it as foreign.
+/// `true` if `err` is the distinct corrupt-file error of a truncated,
+/// bit-flipped or unknown-version file (as opposed to "not an ESSE
+/// file", a legacy v1 size mismatch, or an ordinary I/O failure).
+/// Resume scans use this to decide between quarantining a file and
+/// treating it as foreign.
 pub fn is_corrupt_error(err: &io::Error) -> bool {
-    err.kind() == io::ErrorKind::InvalidData && err.to_string().starts_with("corrupt ESSE")
+    let typed = err.get_ref().and_then(|e| e.downcast_ref::<EnvelopeError>());
+    typed.is_some_and(|e| *e != EnvelopeError::BadMagic)
 }
+
+// The legacy v1 magics as the `u32` words v1 writers stored; the unit
+// tests hand-build v1 files from them.
+#[cfg(test)]
+const VEC_MAGIC: u32 = u32::from_le_bytes(*b"ESSE");
+#[cfg(test)]
+const SUB_MAGIC: u32 = u32::from_le_bytes(*b"BUSE");
+#[cfg(test)]
+use esse_core::durable::crc32;
 
 #[cfg(test)]
 mod tests {
