@@ -29,15 +29,18 @@ use esse_core::adaptive::{CompletionPolicy, EnsembleSchedule};
 use esse_core::convergence::{similarity, ConvergenceTest};
 use esse_core::model::{ForecastError, ForecastModel};
 use esse_core::perturb::{PerturbConfig, PerturbationGenerator};
-use esse_core::subspace::{make_estimator, ErrorSubspace, SubspaceStrategy, UpdateKind};
-use esse_core::validate::{ForecastValidator, Verdict};
+use esse_core::subspace::{
+    make_estimator, ErrorSubspace, SubspaceEstimator, SubspaceStrategy, UpdateKind,
+};
+use esse_core::validate::{ForecastValidator, Reason, Verdict};
 use esse_core::{ConfigError, EsseError};
 use esse_linalg::LinalgCtx;
 use esse_obs::registry::{Counter, Gauge, Histogram, MetricsRegistry};
-use esse_obs::{Lane, Recorder, RecorderExt, NULL};
+use esse_obs::{ArgValue, Lane, Recorder, RecorderExt, NULL};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -386,6 +389,13 @@ impl MtcOutcome {
     }
 }
 
+/// Worker receive and coordinator loop poll period: deadlines, backoff
+/// releases and the straggler scan run at least this often.
+const POLL: Duration = Duration::from_millis(5);
+
+/// What a coordinator decision returns.
+type Step = Result<(), EsseError>;
+
 /// One attempt of one member, as queued to the worker pool.
 #[derive(Debug, Clone, Copy)]
 struct Attempt {
@@ -393,67 +403,48 @@ struct Attempt {
     attempt: u32,
 }
 
+/// A finished attempt, as its worker reports it.
+struct AttemptDone {
+    att: Attempt,
+    worker: usize,
+    started: Duration,
+    finished: Duration,
+    result: Result<Vec<f64>, ForecastError>,
+    /// The worker died running it and takes no further attempt.
+    died: bool,
+}
+
 /// Messages from workers to the coordinator.
 enum WorkerMsg {
     /// A worker picked up an attempt (feeds straggler detection).
     Started { id: TaskId, at: Duration },
     /// An attempt finished.
-    Done {
-        id: TaskId,
-        attempt: u32,
-        worker: usize,
-        started: Duration,
-        finished: Duration,
-        result: Result<Vec<f64>, ForecastError>,
-    },
+    Done(AttemptDone),
 }
 
-/// Per-member recovery bookkeeping, parallel to the `records` vector.
+/// Recovery bookkeeping of one planned member, beside its public
+/// [`TaskRecord`].
 #[derive(Default)]
-struct MemberBook {
+struct Member {
     /// Attempts issued so far (including in flight).
-    attempts: Vec<u32>,
+    attempts: u32,
     /// Attempt messages in the queue or on a worker.
-    inflight: Vec<u32>,
-    /// Member reached a final state (success / permanent failure /
+    inflight: u32,
+    /// Reached a final state (success / permanent failure /
     /// cancellation); late duplicates are discarded.
-    resolved: Vec<bool>,
-    /// A speculative duplicate was already launched.
-    speculated: Vec<bool>,
-    /// Which attempt index is the speculative copy.
-    spec_attempt: Vec<Option<u32>>,
+    resolved: bool,
+    /// The attempt index of its speculative copy, once one is launched.
+    spec_attempt: Option<u32>,
     /// When the most recent attempt started running (straggler scan).
-    running_since: Vec<Option<Duration>>,
-    /// The member was quarantined by the semantic validator at least
-    /// once (a later successful attempt makes it a *replaced* member).
-    quarantined: Vec<bool>,
-}
-
-impl MemberBook {
-    fn push_planned(&mut self) {
-        self.attempts.push(1);
-        self.inflight.push(1);
-        self.resolved.push(false);
-        self.speculated.push(false);
-        self.spec_attempt.push(None);
-        self.running_since.push(None);
-        self.quarantined.push(false);
-    }
-
-    fn push_resumed(&mut self) {
-        self.attempts.push(0);
-        self.inflight.push(0);
-        self.resolved.push(true);
-        self.speculated.push(false);
-        self.spec_attempt.push(None);
-        self.running_since.push(None);
-        self.quarantined.push(false);
-    }
+    running_since: Option<Duration>,
+    /// Quarantined at least once (a later successful attempt makes it a
+    /// *replaced* member).
+    quarantined: bool,
 }
 
 /// Live metric handles for one run, registered by
 /// [`MtcEsse::with_metrics`]. Handles are atomics behind `Arc`s, so
-/// workers update them without touching the registry lock.
+/// updating them never touches the registry lock.
 struct Meters {
     members_done: Gauge,
     coverage: Gauge,
@@ -545,15 +536,28 @@ impl<'m, M: ForecastModel> MtcEsse<'m, M> {
         self
     }
 
-    /// Attach a trace recorder. Workers then emit one `task`/`member`
-    /// span per executed attempt on their [`Lane::Worker`] lane
-    /// (timestamped on the same workflow clock as [`TaskRecord`]s), and
-    /// the coordinator emits SVD spans, convergence/deadline instants,
-    /// fault-recovery instants (`retry_scheduled`, `task_timeout`,
-    /// `speculative_launch`, `worker_died`) and progress counters on
-    /// [`Lane::Coordinator`]. With the default
-    /// [`esse_obs::NullRecorder`] every instrumentation site reduces to
-    /// a branch on `enabled()`.
+    /// Attach a trace recorder. Timestamps are on the workflow clock of
+    /// the [`TaskRecord`]s. The run then emits:
+    ///
+    /// * on each [`Lane::Worker`] lane: one `task/member` span per
+    ///   executed attempt, a `task/member_failed` instant when the
+    ///   attempt failed, and `fault/worker_died` when the worker died;
+    /// * on [`Lane::Coordinator`], the spans `phase/central_forecast`,
+    ///   `svd/svd` (with a nested `svd/subspace_update` or
+    ///   `svd/subspace_refresh`) and `svd/svd_final`;
+    /// * on [`Lane::Coordinator`], the instants `sched/enqueued`,
+    ///   `task/cancelled` and `svd/convergence_check`, the lifecycle
+    ///   instants `workflow/{resumed, stage_advance, converged,
+    ///   deadline_expired, degraded}` and the recovery instants
+    ///   `fault/{retry_scheduled, replacement_scheduled, task_timeout,
+    ///   speculative_launch, speculative_win, speculative_loss,
+    ///   member_quarantined, member_lost_quarantine,
+    ///   member_failed_permanent}`;
+    /// * the progress counters `members_done`, `members_failed`,
+    ///   `members_wasted`, and `retries` and `timeouts` once non-zero.
+    ///
+    /// With the default [`esse_obs::NullRecorder`] no event or argument
+    /// vector is ever built.
     pub fn with_recorder(mut self, recorder: &'m dyn Recorder) -> Self {
         self.recorder = recorder;
         self
@@ -583,1066 +587,960 @@ impl<'m, M: ForecastModel> MtcEsse<'m, M> {
         self
     }
 
-    /// Run the decoupled uncertainty forecast (Fig. 4).
-    ///
-    /// This is the single entry point: a fresh run is
+    /// Run the decoupled uncertainty forecast (Fig. 4): a fresh run is
     /// `run(RunInit::new(&mean, &prior))`; a restarted one chains
-    /// [`RunInit::resuming`]. (Before the unified API this was the pair
-    /// `run(&mean, &prior)` / `run_resuming(&mean, &prior, &previous)`.)
+    /// [`RunInit::resuming`]. A configuration [`MtcConfig::validate`]
+    /// rejects is an [`EsseError::Config`].
     pub fn run(&self, init: RunInit<'_>) -> Result<MtcOutcome, EsseError> {
         let cfg = &self.config;
-        let mean0 = init.mean;
-        let obs = self.recorder;
-        let met = self.metrics.map(Meters::new);
-        let met = met.as_ref();
-        let retry = &cfg.retry;
-        let faults = cfg.faults.as_ref();
-        let mut validator = self.validator.clone();
-        let ck = self.checkpoint;
+        cfg.validate()?;
         // The on-disk safe/live covariance files live beside the
         // journal; every published subspace goes through them so a
         // resumed run recovers its "previous" estimate from disk.
-        let disk_cov = match ck {
-            Some(ck) => Some(DiskTripleBuffer::create(ck.dir())?),
+        let journal = match self.checkpoint {
+            Some(ck) => Some((ck, DiskTripleBuffer::create(ck.dir())?)),
             None => None,
         };
         let t0 = Instant::now();
-        if obs.enabled() && !init.resume.is_empty() {
-            obs.instant_at(
-                0,
-                Lane::Coordinator,
-                "workflow",
-                "resumed",
-                vec![("members", init.resume.len().into())],
-            );
+        let mut sink = Sink::new(self.recorder, self.metrics.map(Meters::new));
+        if !init.resume.is_empty() {
+            sink.note(Duration::ZERO, Event::Resumed(init.resume.len()));
         }
-        let gen = PerturbationGenerator::new(init.prior, cfg.perturb.clone());
         // Central forecast first: the differ needs it.
-        if obs.enabled() {
-            obs.begin_at(
-                ns(t0.elapsed()),
-                Lane::Coordinator,
-                "phase",
-                "central_forecast",
-                Vec::new(),
-            );
-        }
-        let central = self.model.forecast(mean0, cfg.start_time, cfg.duration, None)?;
-        if obs.enabled() {
-            obs.end_at(ns(t0.elapsed()), Lane::Coordinator, "phase", "central_forecast");
-        }
+        let begun = t0.elapsed();
+        let central = self.model.forecast(init.mean, cfg.start_time, cfg.duration, None)?;
+        sink.span(begun, t0.elapsed(), "phase", "central_forecast", Vec::new);
 
-        let (task_tx, task_rx) = channel::<Attempt>();
-        // Workers share the one task receiver; each takes the lock only
-        // for the duration of a single bounded receive.
-        let task_rx = Mutex::new(task_rx);
-        let (msg_tx, msg_rx) = channel::<WorkerMsg>();
-        let cancel = AtomicBool::new(false);
-        let workers_alive = AtomicUsize::new(cfg.workers.max(1));
-
-        let stages = cfg.schedule.stages();
-        let pool_target = |n: usize| ((n as f64 * cfg.pool_factor).ceil() as usize).max(n);
-
-        let resumed: std::collections::HashSet<TaskId> =
-            init.resume.iter().map(|(id, _)| *id).collect();
-        let mut records: Vec<TaskRecord> = Vec::new();
-        let mut book = MemberBook::default();
-        let mut enqueued = 0usize;
-        let mut sent = 0usize;
-        // `enqueued` counts *member ids issued*, including resumed ids
-        // that are skipped; `sent` counts attempt messages pushed to the
-        // pool (first attempts + retries + speculative duplicates).
-        let enqueue_to = |target: usize,
-                          records: &mut Vec<TaskRecord>,
-                          book: &mut MemberBook,
-                          enqueued: &mut usize,
-                          sent: &mut usize,
-                          tx: &Sender<Attempt>| {
-            while *enqueued < target {
-                let id = *enqueued;
-                if resumed.contains(&id) {
-                    let mut rec = TaskRecord::pending(id);
-                    rec.state = TaskState::Done;
-                    rec.outcome = Some(TaskOutcome::Success);
-                    records.push(rec);
-                    book.push_resumed();
-                } else {
-                    let now = t0.elapsed();
-                    let mut rec = TaskRecord::pending(id);
-                    rec.enqueued_at = Some(now);
-                    records.push(rec);
-                    book.push_planned();
-                    tx.send(Attempt { id, attempt: 0 }).expect("task channel open");
-                    *sent += 1;
-                    if obs.enabled() {
-                        obs.instant_at(
-                            ns(now),
-                            Lane::Coordinator,
-                            "sched",
-                            "enqueued",
-                            vec![("member", id.into())],
-                        );
-                    }
-                }
-                *enqueued += 1;
-            }
+        let (tasks, queue) = channel();
+        let (msg_tx, msgs) = channel();
+        let pool = Pool {
+            model: self.model,
+            cfg,
+            gen: PerturbationGenerator::new(init.prior, cfg.perturb.clone()),
+            mean: init.mean,
+            t0,
+            queue: Mutex::new(queue),
+            cancel: AtomicBool::new(false),
         };
-
-        let outcome = std::thread::scope(|scope| -> Result<MtcOutcome, EsseError> {
-            // --- Workers: the MTC pool. ---
-            for w in 0..cfg.workers.max(1) {
-                let task_rx = &task_rx;
-                let msg_tx: Sender<WorkerMsg> = msg_tx.clone();
-                let gen = &gen;
-                let cancel = &cancel;
-                let workers_alive = &workers_alive;
-                let model = self.model;
-                scope.spawn(move || {
-                    let mut tasks_started = 0usize;
-                    loop {
-                        if cancel.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        // Let a woken peer take the receiver first: a worker
-                        // back from a short task would otherwise barge past
-                        // workers already waiting on the lock.
-                        std::thread::yield_now();
-                        let next = crate::lock(task_rx).recv_timeout(Duration::from_millis(5));
-                        match next {
-                            Ok(Attempt { id, attempt }) => {
-                                tasks_started += 1;
-                                let started = t0.elapsed();
-                                // Receiver may be gone during shutdown; ignore send errors.
-                                let _ = msg_tx.send(WorkerMsg::Started { id, at: started });
-                                let dies =
-                                    faults.is_some_and(|p| p.worker_dies(w, tasks_started));
-                                let fault = if dies {
-                                    None
-                                } else {
-                                    faults.and_then(|p| p.fault_for(id, attempt))
-                                };
-                                if let Some(FaultKind::Straggle(extra)) = fault {
-                                    // Straggler: the work happens, just late.
-                                    std::thread::sleep(extra);
-                                }
-                                let res = if dies {
-                                    Err(ForecastError::Injected(format!(
-                                        "worker {w} died running member {id}"
-                                    )))
-                                } else {
-                                    match fault {
-                                        Some(FaultKind::Crash) => Err(ForecastError::Injected(
-                                            format!("injected crash (member {id}, attempt {attempt})"),
-                                        )),
-                                        Some(FaultKind::TransientIo) => {
-                                            Err(ForecastError::Injected(format!(
-                                                "transient I/O error (member {id}, attempt {attempt})"
-                                            )))
-                                        }
-                                        _ => {
-                                            let x0 = gen.perturb(mean0, id);
-                                            let seed = gen.forecast_seed(id);
-                                            let mut r = model.forecast(
-                                                &x0,
-                                                cfg.start_time,
-                                                cfg.duration,
-                                                Some(seed),
-                                            );
-                                            // Semantic payload corruption:
-                                            // the forecast "succeeds" but
-                                            // its bytes are wrong — only
-                                            // the ingest validator can
-                                            // catch it.
-                                            if let (Ok(xf), Some(p)) = (&mut r, faults) {
-                                                if let Some(kind) =
-                                                    p.corruption_for(id, attempt)
-                                                {
-                                                    let block =
-                                                        (xf.len() / 5).max(1);
-                                                    kind.apply(
-                                                        p.seed, id as u64, block, xf,
-                                                    );
-                                                }
-                                            }
-                                            r
-                                        }
-                                    }
-                                };
-                                let finished = t0.elapsed();
-                                if let Some(m) = met {
-                                    m.attempts.inc();
-                                    m.member_runtime.observe(ns(finished.saturating_sub(started)));
-                                }
-                                if obs.enabled() {
-                                    let lane = Lane::Worker(w as u32);
-                                    obs.begin_at(
-                                        ns(started),
-                                        lane,
-                                        "task",
-                                        "member",
-                                        vec![("member", id.into()), ("attempt", u64::from(attempt).into())],
-                                    );
-                                    if res.is_err() {
-                                        obs.instant_at(
-                                            ns(finished),
-                                            lane,
-                                            "task",
-                                            "member_failed",
-                                            vec![
-                                                ("member", id.into()),
-                                                ("attempt", u64::from(attempt).into()),
-                                            ],
-                                        );
-                                    }
-                                    obs.end_at(ns(finished), lane, "task", "member");
-                                    obs.observe("member", ns(finished.saturating_sub(started)));
-                                }
-                                let _ = msg_tx.send(WorkerMsg::Done {
-                                    id,
-                                    attempt,
-                                    worker: w,
-                                    started,
-                                    finished,
-                                    result: res,
-                                });
-                                if dies {
-                                    if obs.enabled() {
-                                        obs.instant_at(
-                                            ns(finished),
-                                            Lane::Worker(w as u32),
-                                            "fault",
-                                            "worker_died",
-                                            vec![("worker", w.into())],
-                                        );
-                                    }
-                                    workers_alive.fetch_sub(1, Ordering::SeqCst);
-                                    break;
-                                }
-                            }
-                            Err(RecvTimeoutError::Timeout) => continue,
-                            Err(RecvTimeoutError::Disconnected) => break,
-                        }
-                    }
-                });
-            }
-            drop(msg_tx); // coordinator keeps only msg_rx
-
-            // --- Coordinator: differ + SVD + convergence + recovery. ---
-            let mut acc = make_estimator(
-                &cfg.subspace,
-                central.clone(),
-                cfg.mode_rel_tol,
-                cfg.max_rank,
-                cfg.linalg,
-            );
-            for (id, result) in init.resume {
-                acc.add_member(*id, result);
-                // Resumed members were validated before they were
-                // journalled; they re-arm the decided-prefix stats.
-                if let Some(v) = validator.as_mut() {
-                    v.note_decided(*id as u64, result);
-                }
-            }
-            let mut conv = match init.replay {
+        let estimator = make_estimator(
+            &cfg.subspace,
+            central.clone(),
+            cfg.mode_rel_tol,
+            cfg.max_rank,
+            cfg.linalg,
+        );
+        let replay = init.replay;
+        let engine = Engine {
+            pool: &pool,
+            journal,
+            validator: self.validator.clone(),
+            sink,
+            tasks,
+            stages: cfg.schedule.stages(),
+            stage: 0,
+            resumed: init.resume.iter().map(|(id, _)| *id).collect(),
+            records: Vec::new(),
+            book: Vec::new(),
+            sent: 0,
+            got: 0,
+            alive: cfg.workers,
+            acc: estimator,
+            conv: match replay {
                 Some(r) => ConvergenceTest::restore(cfg.tolerance, &r.rho_history),
                 None => ConvergenceTest::new(cfg.tolerance),
-            };
-            let mut previous: Option<ErrorSubspace> = init.replay.and_then(|r| r.previous.clone());
-            let mut converged = false;
-            let mut members_failed = 0usize;
-            let mut members_wasted = 0usize;
-            // Members quarantined and never healed (replacement budget
-            // exhausted) — reported separately from `members_failed`.
-            let mut members_quarantined_lost = 0usize;
-            let mut svd_rounds = 0usize;
-            let mut svd_version: u64 = init.replay.map_or(0, |r| r.svd_version);
-            let mut stage_idx = 0usize;
-            // Resume restores the SVD stride phase: members folded from
-            // the journal that the dead coordinator never decomposed
-            // still count toward the next round.
-            let mut since_svd =
-                init.replay.map_or(0, |r| acc.count().saturating_sub(r.last_svd_members));
-            let mut got = 0usize;
-            let mut converged_at: Option<Duration> = None;
-            let mut runtime_sum = Duration::ZERO;
-            let mut runtime_count = 0u32;
-            let mut freport = FaultReport::default();
-            // Backoff-pending retries: (ready_at, member, attempt index).
-            let mut retry_queue: Vec<(Duration, TaskId, u32)> = Vec::new();
+            },
+            previous: replay.and_then(|r| r.previous.clone()),
+            since_svd: 0,
+            svd_rounds: 0,
+            svd_version: replay.map_or(0, |r| r.svd_version),
+            converged_at: None,
+            deadline_expired: false,
+            runtime: (Duration::ZERO, 0),
+            retry_queue: Vec::new(),
             // The jitter stream is owned by the workflow and seeded from
             // its own config; it is only advanced when a retry is
             // actually scheduled, so zero-fault runs never consume it.
-            let mut jitter_rng = StdRng::seed_from_u64(cfg.perturb.base_seed ^ 0x7E57_FA17);
-
-            /// Drain queued attempts after a cancellation point
-            /// (convergence, deadline, pool death): they will never be
-            /// picked up.
-            fn drain_queued(
-                task_rx: &Mutex<Receiver<Attempt>>,
-                records: &mut [TaskRecord],
-                book: &mut MemberBook,
-                got: &mut usize,
-                obs: &dyn Recorder,
-                now: Duration,
-            ) {
-                while let Ok(att) = crate::lock(task_rx).try_recv() {
-                    *got += 1;
-                    book.inflight[att.id] = book.inflight[att.id].saturating_sub(1);
-                    if !book.resolved[att.id] {
-                        records[att.id].state = TaskState::Cancelled;
-                        book.resolved[att.id] = true;
-                        if obs.enabled() {
-                            obs.instant_at(
-                                ns(now),
-                                Lane::Coordinator,
-                                "task",
-                                "cancelled",
-                                vec![("member", att.id.into())],
-                            );
-                        }
-                    }
-                }
+            jitter: StdRng::seed_from_u64(cfg.perturb.base_seed ^ 0x7E57_FA17),
+        };
+        std::thread::scope(|scope| {
+            for w in 0..cfg.workers {
+                let (pool, tx) = (&pool, msg_tx.clone());
+                scope.spawn(move || work(w, pool, tx));
             }
+            drop(msg_tx); // the coordinator keeps only the receiver
+            let out = engine.drive(&init, &msgs, central);
+            // Also after an error: idle workers exit rather than run
+            // the rest of the queue.
+            pool.cancel.store(true, Ordering::Relaxed);
+            out
+        })
+    }
+}
 
-            enqueue_to(
-                pool_target(stages[0]),
-                &mut records,
-                &mut book,
-                &mut enqueued,
-                &mut sent,
-                &task_tx,
-            );
-            // Resumed members may already complete early stages: advance
-            // and top up the pool before entering the receive loop.
-            while stage_idx + 1 < stages.len() && acc.count() >= stages[stage_idx] {
-                stage_idx += 1;
-                enqueue_to(
-                    pool_target(stages[stage_idx]),
-                    &mut records,
-                    &mut book,
-                    &mut enqueued,
-                    &mut sent,
-                    &task_tx,
-                );
-            }
+/// What the worker threads share with the coordinator.
+struct Pool<'a> {
+    model: &'a dyn ForecastModel,
+    cfg: &'a MtcConfig,
+    gen: PerturbationGenerator<'a>,
+    mean: &'a [f64],
+    /// The workflow clock's origin.
+    t0: Instant,
+    /// Workers share the one task receiver; each takes the lock only for
+    /// the duration of a single bounded receive.
+    queue: Mutex<Receiver<Attempt>>,
+    /// Set at a stop: idle workers exit.
+    cancel: AtomicBool,
+}
 
-            // Main receive loop: runs until every issued attempt is
-            // accounted for and no retry is pending.
-            let mut deadline_expired = false;
-            while got < sent || !retry_queue.is_empty() {
-                // Bounded wait so deadlines, backoff releases and the
-                // straggler scan run even while results are scarce.
-                let msg = msg_rx.recv_timeout(Duration::from_millis(5));
-                let now = t0.elapsed();
-                if let Some(dl) = cfg.deadline {
-                    if !deadline_expired && now >= dl {
-                        deadline_expired = true;
-                        converged_at.get_or_insert(now);
-                        cancel.store(true, Ordering::Relaxed);
-                        if obs.enabled() {
-                            obs.instant_at(
-                                ns(now),
-                                Lane::Coordinator,
-                                "workflow",
-                                "deadline_expired",
-                                vec![("tmax_ms", (dl.as_millis() as u64).into())],
-                            );
-                        }
-                        // Backoff-pending retries die with the deadline.
-                        for (_, id, _) in retry_queue.drain(..) {
-                            if !book.resolved[id] {
-                                records[id].state = TaskState::Cancelled;
-                                book.resolved[id] = true;
-                            }
-                        }
-                        drain_queued(&task_rx, &mut records, &mut book, &mut got, obs, now);
-                    }
-                }
-                if !converged && !deadline_expired && !retry_queue.is_empty() {
-                    // Release retries whose backoff has elapsed.
-                    let mut i = 0;
-                    while i < retry_queue.len() {
-                        if retry_queue[i].0 <= now {
-                            let (_, id, attempt) = retry_queue.swap_remove(i);
-                            book.inflight[id] += 1;
-                            sent += 1;
-                            records[id].enqueued_at = Some(now);
-                            task_tx.send(Attempt { id, attempt }).expect("task channel open");
-                            if obs.enabled() {
-                                obs.instant_at(
-                                    ns(now),
-                                    Lane::Coordinator,
-                                    "sched",
-                                    "enqueued",
-                                    vec![
-                                        ("member", id.into()),
-                                        ("attempt", u64::from(attempt).into()),
-                                    ],
-                                );
-                            }
-                        } else {
-                            i += 1;
-                        }
-                    }
-                }
-                if workers_alive.load(Ordering::SeqCst) == 0 && got < sent {
-                    // The whole pool died: nothing queued will ever run.
-                    drain_queued(&task_rx, &mut records, &mut book, &mut got, obs, now);
-                    for (_, id, _) in retry_queue.drain(..) {
-                        if !book.resolved[id] {
-                            records[id].state = TaskState::Done;
-                            records[id].outcome =
-                                Some(TaskOutcome::Failed("worker pool died".into()));
-                            book.resolved[id] = true;
-                            if let Some(ck) = ck {
-                                ck.record_failed(id, book.attempts[id] as i32)?;
-                            }
-                            members_failed += 1;
-                            if let Some(m) = met {
-                                m.failed.inc();
-                            }
-                        }
-                    }
-                }
-                // Straggler speculation: re-launch members that have been
-                // running much longer than the mean on the (free) pool;
-                // the first finisher resolves the member.
-                if retry.speculative && !converged && !deadline_expired && runtime_count >= 2 {
-                    let mean_rt = runtime_sum / runtime_count;
-                    let threshold = mean_rt.mul_f64(retry.speculation_factor);
-                    for id in 0..records.len() {
-                        if book.resolved[id] || book.speculated[id] || book.inflight[id] != 1 {
-                            continue;
-                        }
-                        let Some(since) = book.running_since[id] else { continue };
-                        if now.saturating_sub(since) > threshold {
-                            let attempt = book.attempts[id];
-                            book.attempts[id] += 1;
-                            book.inflight[id] += 1;
-                            book.speculated[id] = true;
-                            book.spec_attempt[id] = Some(attempt);
-                            sent += 1;
-                            freport.speculative_launches += 1;
-                            if let Some(m) = met {
-                                m.spec_launches.inc();
-                            }
-                            task_tx.send(Attempt { id, attempt }).expect("task channel open");
-                            if obs.enabled() {
-                                obs.instant_at(
-                                    ns(now),
-                                    Lane::Coordinator,
-                                    "fault",
-                                    "speculative_launch",
-                                    vec![
-                                        ("member", id.into()),
-                                        ("attempt", u64::from(attempt).into()),
-                                    ],
-                                );
-                            }
-                        }
-                    }
-                }
-                let (id, attempt, w, started, finished, res) = match msg {
-                    Ok(WorkerMsg::Started { id, at }) => {
-                        book.running_since[id] = Some(at);
-                        if records[id].state == TaskState::Pending {
-                            records[id].state = TaskState::Running;
-                        }
-                        continue;
-                    }
-                    Ok(WorkerMsg::Done { id, attempt, worker, started, finished, result }) => {
-                        (id, attempt, worker, started, finished, result)
-                    }
-                    Err(RecvTimeoutError::Timeout) => continue,
-                    Err(RecvTimeoutError::Disconnected) => break,
-                };
-                got += 1;
-                book.inflight[id] = book.inflight[id].saturating_sub(1);
-                if book.inflight[id] == 0 {
-                    book.running_since[id] = None;
-                }
-                if book.resolved[id] {
-                    // Late duplicate of an already-resolved member: the
-                    // losing side of a speculation race, or a result
-                    // arriving after cancellation. Only the speculative
-                    // attempt itself counts as a loss — the original
-                    // losing to its twin is already scored as a win.
-                    if book.spec_attempt[id] == Some(attempt) {
-                        freport.speculative_losses += 1;
-                        if let Some(m) = met {
-                            m.spec_losses.inc();
-                        }
-                        if obs.enabled() {
-                            obs.instant_at(
-                                ns(now),
-                                Lane::Coordinator,
-                                "fault",
-                                "speculative_loss",
-                                vec![("member", id.into())],
-                            );
-                        }
-                    }
-                    continue;
-                }
-                // Per-task timeout: an over-budget attempt is discarded
-                // even if it technically succeeded (its slot was needed
-                // elsewhere; paper §4 point 1 — timeliness).
-                let runtime = finished.saturating_sub(started);
-                let timed_out =
-                    res.is_ok() && retry.task_timeout.is_some_and(|limit| runtime > limit);
-                if timed_out {
-                    freport.timeouts += 1;
-                    if let Some(m) = met {
-                        m.timeouts.inc();
-                    }
-                    if obs.enabled() {
-                        obs.instant_at(
-                            ns(now),
-                            Lane::Coordinator,
-                            "fault",
-                            "task_timeout",
-                            vec![
-                                ("member", id.into()),
-                                ("runtime_ms", (runtime.as_millis() as u64).into()),
-                            ],
-                        );
-                    }
-                }
-                let rec = &mut records[id];
-                rec.worker = Some(w);
-                rec.started_at = Some(started);
-                rec.finished_at = Some(finished);
-                rec.state = TaskState::Done;
-                match res {
-                    Ok(xf)
-                        if !timed_out
-                            && !validator
-                                .as_ref()
-                                .map_or(Verdict::Pass, |v| v.validate_member(id as u64, &xf))
-                                .is_pass() =>
-                    {
-                        // Semantic quarantine: the attempt "succeeded"
-                        // but its payload is wrong — it never enters
-                        // the spread matrix.
-                        let Verdict::Quarantine(reason) = validator
-                            .as_ref()
-                            .map_or(Verdict::Pass, |v| v.validate_member(id as u64, &xf))
-                        else {
-                            unreachable!("guard matched a quarantine verdict")
-                        };
-                        runtime_sum += runtime;
-                        runtime_count += 1;
-                        freport.quarantined += 1;
-                        book.quarantined[id] = true;
-                        if let Some(m) = met {
-                            m.quarantined.inc();
-                        }
-                        if obs.enabled() {
-                            obs.instant_at(
-                                ns(now),
-                                Lane::Coordinator,
-                                "fault",
-                                "member_quarantined",
-                                vec![
-                                    ("member", id.into()),
-                                    ("reason", u64::from(reason.code()).into()),
-                                ],
-                            );
-                        }
-                        if converged || deadline_expired {
-                            // The member would have been wasted anyway;
-                            // the corrupt payload is simply never spared.
-                            book.resolved[id] = true;
-                            rec.outcome = Some(TaskOutcome::Wasted);
-                            members_wasted += 1;
-                        } else {
-                            // The quarantine is a journalled decision:
-                            // resume replays it bit-for-bit.
-                            if let Some(ck) = ck {
-                                ck.record_quarantined(id, reason.code())?;
-                            }
-                            if book.inflight[id] > 0 {
-                                // A twin attempt may still deliver a
-                                // clean copy of this member.
-                                rec.state = TaskState::Running;
-                            } else if book.attempts[id] < retry.max_attempts {
-                                // Self-healing: seed a replacement
-                                // attempt under the retry budget.
-                                let prior = book.attempts[id];
-                                let delay = retry.backoff_delay(prior, &mut jitter_rng);
-                                let attempt_next = book.attempts[id];
-                                book.attempts[id] += 1;
-                                retry_queue.push((now + delay, id, attempt_next));
-                                freport.retries += 1;
-                                if let Some(m) = met {
-                                    m.retries.inc();
-                                }
-                                rec.state = TaskState::Pending;
-                                rec.outcome = None;
-                                if obs.enabled() {
-                                    obs.instant_at(
-                                        ns(now),
-                                        Lane::Coordinator,
-                                        "fault",
-                                        "replacement_scheduled",
-                                        vec![
-                                            ("member", id.into()),
-                                            ("attempt", u64::from(attempt_next).into()),
-                                        ],
-                                    );
-                                }
-                            } else {
-                                book.resolved[id] = true;
-                                rec.outcome = Some(TaskOutcome::Failed(format!(
-                                    "quarantined: {}",
-                                    reason.describe()
-                                )));
-                                if let Some(ck) = ck {
-                                    ck.record_failed(id, book.attempts[id] as i32)?;
-                                }
-                                members_quarantined_lost += 1;
-                                if obs.enabled() {
-                                    obs.instant_at(
-                                        ns(now),
-                                        Lane::Coordinator,
-                                        "fault",
-                                        "member_lost_quarantine",
-                                        vec![
-                                            ("member", id.into()),
-                                            ("attempts", u64::from(book.attempts[id]).into()),
-                                        ],
-                                    );
-                                }
-                            }
-                        }
-                    }
-                    Ok(xf) if !timed_out => {
-                        runtime_sum += runtime;
-                        runtime_count += 1;
-                        book.resolved[id] = true;
-                        if book.spec_attempt[id] == Some(attempt) {
-                            freport.speculative_wins += 1;
-                            if let Some(m) = met {
-                                m.spec_wins.inc();
-                            }
-                            if obs.enabled() {
-                                obs.instant_at(
-                                    ns(now),
-                                    Lane::Coordinator,
-                                    "fault",
-                                    "speculative_win",
-                                    vec![("member", id.into())],
-                                );
-                            }
-                        }
-                        if deadline_expired && !converged {
-                            // Paper: late runs are safely ignored.
-                            rec.outcome = Some(TaskOutcome::Wasted);
-                            members_wasted += 1;
-                        } else if converged {
-                            // Completion policy decides the fate of members
-                            // that were in flight at convergence (§4.1).
-                            let spare = match cfg.completion {
-                                CompletionPolicy::CancelImmediately => false,
-                                CompletionPolicy::UseCompleted => true,
-                                CompletionPolicy::SpareNearlyDone(frac) => {
-                                    // Spare only members that had already run
-                                    // ≥ frac of the mean runtime when the
-                                    // convergence fired ("spare any ensemble
-                                    // calculations close to finishing").
-                                    let mean_rt = if runtime_count > 0 {
-                                        runtime_sum / runtime_count
-                                    } else {
-                                        Duration::ZERO
-                                    };
-                                    let t_conv = converged_at.unwrap_or_default();
-                                    let progress = t_conv.saturating_sub(started);
-                                    progress.as_secs_f64() >= frac * mean_rt.as_secs_f64()
-                                }
-                            };
-                            if spare {
-                                rec.outcome = Some(TaskOutcome::Success);
-                                if let Some(ck) = ck {
-                                    // Blob first, journal record second:
-                                    // the record is the commit point.
-                                    ck.record_member(id, book.attempts[id], &xf)?;
-                                }
-                                acc.add_member(id, &xf);
-                                if let Some(v) = validator.as_mut() {
-                                    v.note_decided(id as u64, &xf);
-                                }
-                            } else {
-                                rec.outcome = Some(TaskOutcome::Wasted);
-                                members_wasted += 1;
-                            }
-                        } else {
-                            rec.outcome = Some(TaskOutcome::Success);
-                            if let Some(ck) = ck {
-                                ck.record_member(id, book.attempts[id], &xf)?;
-                            }
-                            acc.add_member(id, &xf);
-                            if let Some(v) = validator.as_mut() {
-                                v.note_decided(id as u64, &xf);
-                            }
-                            since_svd += 1;
-                        }
-                    }
-                    failed => {
-                        // Timed out, or the attempt reported an error.
-                        let reason = match &failed {
-                            Err(e) => e.to_string(),
-                            Ok(_) => format!("attempt exceeded task timeout ({runtime:?})"),
-                        };
-                        if book.inflight[id] > 0 {
-                            // A twin attempt (speculation) is still out
-                            // there; let it decide the member's fate.
-                            rec.state = TaskState::Running;
-                        } else if !converged
-                            && !deadline_expired
-                            && book.attempts[id] < retry.max_attempts
-                        {
-                            // Requeue with exponential backoff + jitter.
-                            let prior = book.attempts[id];
-                            let delay = retry.backoff_delay(prior, &mut jitter_rng);
-                            let attempt_next = book.attempts[id];
-                            book.attempts[id] += 1;
-                            retry_queue.push((now + delay, id, attempt_next));
-                            freport.retries += 1;
-                            if let Some(m) = met {
-                                m.retries.inc();
-                            }
-                            rec.state = TaskState::Pending;
-                            rec.outcome = None;
-                            if obs.enabled() {
-                                obs.instant_at(
-                                    ns(now),
-                                    Lane::Coordinator,
-                                    "fault",
-                                    "retry_scheduled",
-                                    vec![
-                                        ("member", id.into()),
-                                        ("attempt", u64::from(attempt_next).into()),
-                                        ("delay_ms", (delay.as_millis() as u64).into()),
-                                    ],
-                                );
-                            }
-                        } else {
-                            book.resolved[id] = true;
-                            rec.outcome = Some(TaskOutcome::Failed(reason));
-                            if let Some(ck) = ck {
-                                ck.record_failed(id, book.attempts[id] as i32)?;
-                            }
-                            members_failed += 1;
-                            if obs.enabled() {
-                                obs.instant_at(
-                                    ns(now),
-                                    Lane::Coordinator,
-                                    "fault",
-                                    "member_failed_permanent",
-                                    vec![
-                                        ("member", id.into()),
-                                        ("attempts", u64::from(book.attempts[id]).into()),
-                                    ],
-                                );
-                            }
-                        }
-                    }
-                }
-                if let Some(m) = met {
-                    match &records[id].outcome {
-                        Some(TaskOutcome::Success) => m.completed.inc(),
-                        Some(TaskOutcome::Wasted) => m.wasted.inc(),
-                        Some(TaskOutcome::Failed(_)) => m.failed.inc(),
-                        None => {}
-                    }
-                    m.members_done.set(acc.count() as f64);
-                    m.coverage.set(acc.count() as f64 / records.len().max(1) as f64);
-                    if let Some(w) = records[id].queue_wait() {
-                        m.queue_wait.observe(w.as_nanos() as u64);
-                    }
-                }
-                if obs.enabled() {
-                    let tns = ns(t0.elapsed());
-                    obs.counter_at(tns, Lane::Coordinator, "members_done", acc.count() as f64);
-                    obs.counter_at(tns, Lane::Coordinator, "members_failed", members_failed as f64);
-                    obs.counter_at(tns, Lane::Coordinator, "members_wasted", members_wasted as f64);
-                    if freport.retries > 0 {
-                        obs.counter_at(tns, Lane::Coordinator, "retries", freport.retries as f64);
-                    }
-                    if freport.timeouts > 0 {
-                        obs.counter_at(tns, Lane::Coordinator, "timeouts", freport.timeouts as f64);
-                    }
-                }
-                if converged || deadline_expired {
-                    continue; // draining in-flight results
-                }
-                // Continuous SVD stage.
-                let stage_target = stages[stage_idx];
-                let at_stride = since_svd >= cfg.svd_stride;
-                let at_stage = acc.count() >= stage_target;
-                if (at_stride || at_stage) && acc.count() >= 2 {
-                    since_svd = 0;
-                    let svd_started = t0.elapsed();
-                    if obs.enabled() {
-                        obs.begin_at(
-                            ns(svd_started),
-                            Lane::Coordinator,
-                            "svd",
-                            "svd",
-                            vec![("members", acc.count().into())],
-                        );
-                    }
-                    let mut round_meta: Option<(UpdateKind, f64, f64)> = None;
-                    if let Some(update) = acc.estimate()? {
-                        svd_rounds += 1;
-                        round_meta = Some((update.kind, update.defect, update.error_bound));
-                        let estimate = update.subspace;
-                        let mut round_rho = f64::NAN;
-                        if let Some(prev) = &previous {
-                            let rho = similarity(prev, &estimate);
-                            round_rho = rho;
-                            if let Some(m) = met {
-                                m.rho.set(rho);
-                            }
-                            if obs.enabled() {
-                                obs.instant_at(
-                                    ns(t0.elapsed()),
-                                    Lane::Coordinator,
-                                    "svd",
-                                    "convergence_check",
-                                    vec![("rho", rho.into()), ("members", acc.count().into())],
-                                );
-                            }
-                            if conv.check(rho) {
-                                converged = true;
-                                converged_at = Some(t0.elapsed());
-                                cancel.store(true, Ordering::Relaxed);
-                                if obs.enabled() {
-                                    obs.instant_at(
-                                        ns(t0.elapsed()),
-                                        Lane::Coordinator,
-                                        "workflow",
-                                        "converged",
-                                        vec![("rho", rho.into()), ("members", acc.count().into())],
-                                    );
-                                }
-                                // Backoff-pending retries are cancelled,
-                                // then the queue is drained.
-                                for (_, rid, _) in retry_queue.drain(..) {
-                                    if !book.resolved[rid] {
-                                        records[rid].state = TaskState::Cancelled;
-                                        book.resolved[rid] = true;
-                                    }
-                                }
-                                let tnow = t0.elapsed();
-                                drain_queued(
-                                    &task_rx,
-                                    &mut records,
-                                    &mut book,
-                                    &mut got,
-                                    obs,
-                                    tnow,
-                                );
-                            }
-                        }
-                        if let Some(ck) = ck {
-                            svd_version += 1;
-                            // Covariance files first (safe/live publish),
-                            // then the journal record as commit point.
-                            if let Some(buf) = &disk_cov {
-                                buf.publish(&encode_subspace_blob(&estimate), svd_version)?;
-                            }
-                            ck.record_svd(acc.count(), svd_version, round_rho)?;
-                            if converged {
-                                ck.record_converged(acc.count(), round_rho)?;
-                            }
-                        }
-                        previous = Some(estimate);
-                    }
-                    let svd_finished = t0.elapsed();
-                    if obs.enabled() {
-                        // Nested span naming the update flavour this round
-                        // took (incremental fold vs full/refresh recompute),
-                        // emitted retroactively with the measured bounds so
-                        // the outer "svd" span stays stable for analytics.
-                        if let Some((kind, defect, bound)) = round_meta {
-                            let inner = match kind {
-                                UpdateKind::Incremental => "subspace_update",
-                                UpdateKind::Full | UpdateKind::Refresh => "subspace_refresh",
-                            };
-                            obs.begin_at(
-                                ns(svd_started),
-                                Lane::Coordinator,
-                                "svd",
-                                inner,
-                                vec![("defect", defect.into()), ("error_bound", bound.into())],
-                            );
-                            obs.end_at(ns(svd_finished), Lane::Coordinator, "svd", inner);
-                        }
-                        obs.end_at(ns(svd_finished), Lane::Coordinator, "svd", "svd");
-                        obs.observe("svd", ns(svd_finished.saturating_sub(svd_started)));
-                    }
-                    if let Some(m) = met {
-                        if let Some((kind, defect, _)) = round_meta {
-                            let dur = ns(svd_finished.saturating_sub(svd_started));
-                            match kind {
-                                UpdateKind::Incremental => m.subspace_update.observe(dur),
-                                UpdateKind::Full | UpdateKind::Refresh => {
-                                    m.subspace_refresh.observe(dur)
-                                }
-                            }
-                            m.subspace_defect.set(defect);
-                        }
-                    }
-                }
-                // Pool growth: if the current stage is complete but not
-                // converged, move to the next stage and top up the pool
-                // (before the pipeline drains — §4.1).
-                if !converged && acc.count() >= stage_target && stage_idx + 1 < stages.len() {
-                    stage_idx += 1;
-                    if obs.enabled() {
-                        obs.instant_at(
-                            ns(t0.elapsed()),
-                            Lane::Coordinator,
-                            "workflow",
-                            "stage_advance",
-                            vec![("target", stages[stage_idx].into())],
-                        );
-                    }
-                    enqueue_to(
-                        pool_target(stages[stage_idx]),
-                        &mut records,
-                        &mut book,
-                        &mut enqueued,
-                        &mut sent,
-                        &task_tx,
-                    );
-                }
+impl Pool<'_> {
+    /// Member `id`'s forecast. A planned payload corruption then damages
+    /// it: the forecast "succeeds" but its bytes are wrong, and only the
+    /// ingest validator can catch it.
+    fn forecast(&self, Attempt { id, attempt }: Attempt) -> Result<Vec<f64>, ForecastError> {
+        let x0 = self.gen.perturb(self.mean, id);
+        let seed = Some(self.gen.forecast_seed(id));
+        let mut r = self.model.forecast(&x0, self.cfg.start_time, self.cfg.duration, seed);
+        if let (Ok(xf), Some(p)) = (&mut r, &self.cfg.faults) {
+            if let Some(kind) = p.corruption_for(id, attempt) {
+                kind.apply(p.seed, id as u64, (xf.len() / 5).max(1), xf);
             }
-            cancel.store(true, Ordering::Relaxed);
-            drop(task_tx);
-            // Copy the attempt counters into the public records.
-            for (rec, attempts) in records.iter_mut().zip(&book.attempts) {
-                rec.attempts = *attempts;
-            }
-            // Cancelled-but-pending bookkeeping.
-            let members_cancelled =
-                records.iter().filter(|r| r.state == TaskState::Cancelled).count();
+        }
+        r
+    }
+}
 
-            if deadline_expired && acc.count() < 2 {
-                return Err(EsseError::Deadline {
-                    elapsed: t0.elapsed(),
-                    budget: cfg.deadline.expect("deadline fired"),
-                });
+/// One worker of the pool: take attempts until a stop or the closed
+/// queue, settle each attempt's fate under the fault plan, report it.
+fn work(w: usize, pool: &Pool<'_>, tx: Sender<WorkerMsg>) {
+    let plan = pool.cfg.faults.as_ref();
+    let mut taken = 0;
+    while !pool.cancel.load(Ordering::Relaxed) {
+        // Let a woken peer take the receiver first: a worker back from a
+        // short task would otherwise barge past workers already waiting
+        // on the lock.
+        std::thread::yield_now();
+        let att = match crate::lock(&pool.queue).recv_timeout(POLL) {
+            Ok(att) => att,
+            Err(RecvTimeoutError::Timeout) => continue,
+            Err(RecvTimeoutError::Disconnected) => break,
+        };
+        let Attempt { id, attempt } = att;
+        taken += 1;
+        let started = pool.t0.elapsed();
+        // The receiver may be gone during shutdown; send errors are moot.
+        let _ = tx.send(WorkerMsg::Started { id, at: started });
+        let died = plan.is_some_and(|p| p.worker_dies(w, taken));
+        let injected = |what| Err(ForecastError::Injected(what));
+        let result = match plan.and_then(|p| p.fault_for(id, attempt)) {
+            _ if died => injected(format!("worker {w} died running member {id}")),
+            Some(FaultKind::Crash) => {
+                injected(format!("injected crash (member {id}, attempt {attempt})"))
             }
+            Some(FaultKind::TransientIo) => {
+                injected(format!("transient I/O error (member {id}, attempt {attempt})"))
+            }
+            Some(FaultKind::Straggle(extra)) => {
+                // A straggler: the work happens, just late.
+                std::thread::sleep(extra);
+                pool.forecast(att)
+            }
+            None => pool.forecast(att),
+        };
+        let finished = pool.t0.elapsed();
+        let _ = tx.send(WorkerMsg::Done(AttemptDone {
+            att,
+            worker: w,
+            started,
+            finished,
+            result,
+            died,
+        }));
+        if died {
+            break;
+        }
+    }
+}
 
-            // Completion policy: a final SVD over everything that arrived.
-            let final_subspace = if matches!(
-                cfg.completion,
-                CompletionPolicy::UseCompleted | CompletionPolicy::SpareNearlyDone(_)
-            ) || previous.is_none()
+/// What stops a run taking on new work.
+#[derive(Debug, Clone, Copy)]
+enum Stop {
+    /// The convergence criterion fired at this similarity.
+    Converged(f64),
+    /// The Tmax deadline expired.
+    Deadline(Duration),
+    /// Every worker died.
+    PoolDied,
+}
+
+/// A recovery or lifecycle event, as [`Sink::note`] records it.
+#[derive(Debug, Clone, Copy)]
+enum Event {
+    /// A resumed run folded this many results of an earlier incarnation.
+    Resumed(usize),
+    /// An attempt was queued (with its index, when it is not the first).
+    Enqueued(TaskId, Option<u32>),
+    /// `(worker, attempt, started, finished, failed)`: a worker ran an
+    /// attempt.
+    Ran(usize, Attempt, Duration, Duration, bool),
+    /// A stop cancelled a member that had not run; `true` when the pool
+    /// died, which makes it a lost member.
+    Cancelled(TaskId, bool),
+    /// `(member, runtime)`: an attempt overran the task timeout.
+    TaskTimeout(TaskId, Duration),
+    /// `(member, attempt, delay)`: a failed member is requeued.
+    RetryScheduled(TaskId, u32, Duration),
+    /// `(member, attempt)`: a quarantined member gets a replacement.
+    ReplacementScheduled(TaskId, u32),
+    /// `(member, attempt)`: a straggler's duplicate is launched.
+    SpeculativeLaunch(TaskId, u32),
+    /// The speculative copy resolved the member.
+    SpeculativeWin(TaskId),
+    /// The speculative copy arrived after the member was resolved.
+    SpeculativeLoss(TaskId),
+    /// `(member, reason code)`: the validator rejected a payload.
+    Quarantined(TaskId, u32),
+    /// A member entered the ensemble.
+    Completed,
+    /// A member was computed in vain (it arrived after a stop).
+    Wasted,
+    /// `(member, attempts)`: a member failed for good.
+    Failed(TaskId, u32),
+    /// `(member, attempts)`: a quarantined member was never healed.
+    LostQuarantine(TaskId, u32),
+    /// A quarantined member was healed by a later attempt.
+    Replaced,
+    /// The worker with this index died.
+    WorkerDied(usize),
+    /// `(members done, planned, queue wait)` after a settled attempt and
+    /// at the end of the run.
+    Progress(usize, usize, Option<Duration>),
+    /// `(members, started, update kind / defect / error bound)`: an SVD
+    /// round, with no update when the ensemble is still too small.
+    SvdRound(usize, Duration, Option<(UpdateKind, f64, f64)>),
+    /// `(rho, members)`: a similarity test against the last estimate.
+    ConvergenceCheck(f64, usize),
+    /// `(rho, members)`: the convergence criterion fired.
+    Converged(f64, usize),
+    /// The Tmax deadline expired.
+    DeadlineExpired(Duration),
+    /// The pool grows to this stage target.
+    StageAdvance(usize),
+    /// `(coverage, lost, quarantined, replaced)` of a degraded run.
+    Degraded(f64, usize, usize, usize),
+}
+
+/// The one place a run's events are recorded: the [`FaultReport`], the
+/// outcome tallies, the live [`Meters`] and the trace.
+struct Sink<'a> {
+    obs: &'a dyn Recorder,
+    meters: Option<Meters>,
+    faults: FaultReport,
+    /// Members failed for good (`MtcOutcome::members_failed`).
+    failed: usize,
+    /// Members computed but discarded (`MtcOutcome::members_wasted`).
+    wasted: usize,
+    /// Quarantined members never healed.
+    lost_quarantine: usize,
+    /// Members a dead pool never ran.
+    abandoned: usize,
+}
+
+/// Picks an event's counter out of the [`Meters`].
+type Pick = fn(&Meters) -> &Counter;
+
+fn ms(d: Duration) -> ArgValue {
+    (d.as_millis() as u64).into()
+}
+
+impl<'a> Sink<'a> {
+    fn new(obs: &'a dyn Recorder, meters: Option<Meters>) -> Self {
+        let faults = FaultReport::default();
+        Sink { obs, meters, faults, failed: 0, wasted: 0, lost_quarantine: 0, abandoned: 0 }
+    }
+
+    /// Record `ev` at `now`: its report field or tally, its meter, its
+    /// trace events.
+    fn note(&mut self, now: Duration, ev: Event) {
+        use Event::*;
+        let f = &mut self.faults;
+        let (tally, counter): (Option<&mut usize>, Option<Pick>) = match ev {
+            Ran(..) => (None, Some(|m| &m.attempts)),
+            Cancelled(_, abandoned) => {
+                (abandoned.then_some(&mut self.abandoned), Some(|m| &m.cancelled))
+            }
+            TaskTimeout(..) => (Some(&mut f.timeouts), Some(|m| &m.timeouts)),
+            RetryScheduled(..) | ReplacementScheduled(..) => {
+                (Some(&mut f.retries), Some(|m| &m.retries))
+            }
+            SpeculativeLaunch(..) => {
+                (Some(&mut f.speculative_launches), Some(|m| &m.spec_launches))
+            }
+            SpeculativeWin(_) => (Some(&mut f.speculative_wins), Some(|m| &m.spec_wins)),
+            SpeculativeLoss(_) => (Some(&mut f.speculative_losses), Some(|m| &m.spec_losses)),
+            Quarantined(..) => (Some(&mut f.quarantined), Some(|m| &m.quarantined)),
+            Completed => (None, Some(|m| &m.completed)),
+            Wasted => (Some(&mut self.wasted), Some(|m| &m.wasted)),
+            Failed(..) => (Some(&mut self.failed), Some(|m| &m.failed)),
+            LostQuarantine(..) => (Some(&mut self.lost_quarantine), Some(|m| &m.failed)),
+            Replaced => (Some(&mut f.replaced), Some(|m| &m.replaced)),
+            WorkerDied(_) => (Some(&mut f.workers_died), Some(|m| &m.workers_died)),
+            _ => (None, None),
+        };
+        if let Some(n) = tally {
+            *n += 1;
+        }
+        if let Some(m) = &self.meters {
+            if let Some(counter) = counter {
+                counter(m).inc();
+            }
+            match ev {
+                Ran(_, _, started, finished, _) => {
+                    m.member_runtime.observe(ns(finished.saturating_sub(started)))
+                }
+                Progress(done, planned, wait) => {
+                    m.members_done.set(done as f64);
+                    m.coverage.set(done as f64 / planned.max(1) as f64);
+                    if let Some(w) = wait {
+                        m.queue_wait.observe(ns(w));
+                    }
+                }
+                ConvergenceCheck(rho, _) => m.rho.set(rho),
+                SvdRound(_, started, Some((kind, defect, _))) => {
+                    let lane = match kind {
+                        UpdateKind::Incremental => &m.subspace_update,
+                        UpdateKind::Full | UpdateKind::Refresh => &m.subspace_refresh,
+                    };
+                    lane.observe(ns(now.saturating_sub(started)));
+                    m.subspace_defect.set(defect);
+                }
+                _ => {}
+            }
+        }
+        if self.obs.enabled() {
+            self.trace(now, ev);
+        }
+    }
+
+    /// The trace events of `ev`, built only when tracing.
+    fn trace(&self, now: Duration, ev: Event) {
+        use Event::*;
+        let (obs, coord, ts) = (self.obs, Lane::Coordinator, ns(now));
+        let member = |id: TaskId| ("member", ArgValue::from(id));
+        let attempt = |a: u32| ("attempt", ArgValue::from(u64::from(a)));
+        let count = |name, n: usize| (name, ArgValue::from(n));
+        let (cat, name, args) = match ev {
+            Resumed(n) => ("workflow", "resumed", vec![count("members", n)]),
+            Enqueued(id, None) => ("sched", "enqueued", vec![member(id)]),
+            Enqueued(id, Some(a)) => ("sched", "enqueued", vec![member(id), attempt(a)]),
+            Ran(w, Attempt { id, attempt: a }, started, finished, failed) => {
+                let lane = Lane::Worker(w as u32);
+                obs.begin_at(ns(started), lane, "task", "member", vec![member(id), attempt(a)]);
+                if failed {
+                    let args = vec![member(id), attempt(a)];
+                    obs.instant_at(ns(finished), lane, "task", "member_failed", args);
+                }
+                obs.end_at(ns(finished), lane, "task", "member");
+                obs.observe("member", ns(finished.saturating_sub(started)));
+                return;
+            }
+            Cancelled(id, _) => ("task", "cancelled", vec![member(id)]),
+            TaskTimeout(id, rt) => {
+                ("fault", "task_timeout", vec![member(id), ("runtime_ms", ms(rt))])
+            }
+            RetryScheduled(id, a, delay) => {
+                ("fault", "retry_scheduled", vec![member(id), attempt(a), ("delay_ms", ms(delay))])
+            }
+            ReplacementScheduled(id, a) => {
+                ("fault", "replacement_scheduled", vec![member(id), attempt(a)])
+            }
+            SpeculativeLaunch(id, a) => {
+                ("fault", "speculative_launch", vec![member(id), attempt(a)])
+            }
+            SpeculativeWin(id) => ("fault", "speculative_win", vec![member(id)]),
+            SpeculativeLoss(id) => ("fault", "speculative_loss", vec![member(id)]),
+            Quarantined(id, reason) => {
+                let reason = ("reason", ArgValue::from(u64::from(reason)));
+                ("fault", "member_quarantined", vec![member(id), reason])
+            }
+            Failed(id, n) => (
+                "fault",
+                "member_failed_permanent",
+                vec![member(id), count("attempts", n as usize)],
+            ),
+            LostQuarantine(id, n) => {
+                ("fault", "member_lost_quarantine", vec![member(id), count("attempts", n as usize)])
+            }
+            WorkerDied(w) => {
+                let args = vec![count("worker", w)];
+                obs.instant_at(ts, Lane::Worker(w as u32), "fault", "worker_died", args);
+                return;
+            }
+            Progress(done, ..) => {
+                obs.counter_at(ts, coord, "members_done", done as f64);
+                obs.counter_at(ts, coord, "members_failed", self.failed as f64);
+                obs.counter_at(ts, coord, "members_wasted", self.wasted as f64);
+                for (name, n) in
+                    [("retries", self.faults.retries), ("timeouts", self.faults.timeouts)]
+                {
+                    if n > 0 {
+                        obs.counter_at(ts, coord, name, n as f64);
+                    }
+                }
+                return;
+            }
+            SvdRound(members, started, update) => {
+                obs.begin_at(ns(started), coord, "svd", "svd", vec![count("members", members)]);
+                // A nested span names the update flavour this round took
+                // (incremental fold vs full/refresh recompute), so the
+                // outer "svd" span stays stable for analytics.
+                if let Some((kind, defect, bound)) = update {
+                    let inner = match kind {
+                        UpdateKind::Incremental => "subspace_update",
+                        UpdateKind::Full | UpdateKind::Refresh => "subspace_refresh",
+                    };
+                    let args = vec![("defect", defect.into()), ("error_bound", bound.into())];
+                    obs.begin_at(ns(started), coord, "svd", inner, args);
+                    obs.end_at(ts, coord, "svd", inner);
+                }
+                obs.end_at(ts, coord, "svd", "svd");
+                obs.observe("svd", ns(now.saturating_sub(started)));
+                return;
+            }
+            ConvergenceCheck(rho, n) => {
+                ("svd", "convergence_check", vec![("rho", rho.into()), count("members", n)])
+            }
+            Converged(rho, n) => {
+                ("workflow", "converged", vec![("rho", rho.into()), count("members", n)])
+            }
+            DeadlineExpired(tmax) => ("workflow", "deadline_expired", vec![("tmax_ms", ms(tmax))]),
+            StageAdvance(target) => ("workflow", "stage_advance", vec![count("target", target)]),
+            Degraded(coverage, lost, quarantined, replaced) => {
+                let args = vec![
+                    ("coverage", coverage.into()),
+                    count("lost", lost),
+                    count("quarantined", quarantined),
+                    count("replaced", replaced),
+                ];
+                ("workflow", "degraded", args)
+            }
+            Completed | Wasted | Replaced => return,
+        };
+        obs.instant_at(ts, coord, cat, name, args);
+    }
+
+    /// A closed coordinator span, recorded once it has ended.
+    fn span<A>(&self, from: Duration, to: Duration, cat: &'static str, name: &'static str, args: A)
+    where
+        A: FnOnce() -> Vec<(&'static str, ArgValue)>,
+    {
+        if self.obs.enabled() {
+            self.obs.begin_at(ns(from), Lane::Coordinator, cat, name, args());
+            self.obs.end_at(ns(to), Lane::Coordinator, cat, name);
+        }
+    }
+}
+
+/// The coordinator of one run — differ, SVD, convergence and recovery —
+/// with one method per decision. Every event goes through `sink`.
+struct Engine<'a> {
+    pool: &'a Pool<'a>,
+    /// The run journal and its on-disk covariance files.
+    journal: Option<(&'a Checkpoint, DiskTripleBuffer)>,
+    validator: Option<ForecastValidator>,
+    sink: Sink<'a>,
+    tasks: Sender<Attempt>,
+    stages: Vec<usize>,
+    stage: usize,
+    resumed: HashSet<TaskId>,
+    records: Vec<TaskRecord>,
+    book: Vec<Member>,
+    /// Attempt messages queued to the pool (first attempts, retries and
+    /// speculative duplicates) and accounted for (finished or drained).
+    sent: usize,
+    got: usize,
+    /// Workers that have not died.
+    alive: usize,
+    acc: Box<dyn SubspaceEstimator>,
+    conv: ConvergenceTest,
+    previous: Option<ErrorSubspace>,
+    since_svd: usize,
+    svd_rounds: usize,
+    svd_version: u64,
+    converged_at: Option<Duration>,
+    deadline_expired: bool,
+    /// Total runtime and count of the attempts that produced a payload.
+    runtime: (Duration, u32),
+    /// Backoff-pending retries: (ready at, member, attempt index).
+    retry_queue: Vec<(Duration, TaskId, u32)>,
+    jitter: StdRng,
+}
+
+impl<'a> Engine<'a> {
+    fn cfg(&self) -> &'a MtcConfig {
+        self.pool.cfg
+    }
+
+    fn clock(&self) -> Duration {
+        self.pool.t0.elapsed()
+    }
+
+    fn stopped(&self) -> bool {
+        self.converged_at.is_some() || self.deadline_expired || self.alive == 0
+    }
+
+    fn pool_target(&self, n: usize) -> usize {
+        ((n as f64 * self.cfg().pool_factor).ceil() as usize).max(n)
+    }
+
+    fn drive(
+        mut self,
+        init: &RunInit<'_>,
+        msgs: &Receiver<WorkerMsg>,
+        central: Vec<f64>,
+    ) -> Result<MtcOutcome, EsseError> {
+        // Resumed members were validated before they were journalled;
+        // they re-arm the decided-prefix stats.
+        for (id, xf) in init.resume {
+            self.admit(*id, xf, None)?;
+        }
+        // Resume restores the SVD stride phase: members folded from the
+        // journal that the dead coordinator never decomposed still count
+        // toward the next round.
+        let decomposed = init.replay.map(|r| r.last_svd_members);
+        self.since_svd = decomposed.map_or(0, |n| self.acc.count().saturating_sub(n));
+        self.enqueue_to(self.pool_target(self.stages[0]));
+        // Resumed members may already complete early stages.
+        while self.advance_stage() {}
+        self.pump(msgs)?;
+        self.finish(central)
+    }
+
+    /// The receive loop: runs until every queued attempt is accounted
+    /// for and no retry is pending.
+    fn pump(&mut self, msgs: &Receiver<WorkerMsg>) -> Step {
+        while self.got < self.sent || !self.retry_queue.is_empty() {
+            let msg = msgs.recv_timeout(POLL);
+            let now = self.clock();
+            if let Some(tmax) = self.cfg().deadline.filter(|&t| now >= t && !self.deadline_expired)
             {
-                if obs.enabled() {
-                    obs.begin_at(
-                        ns(t0.elapsed()),
-                        Lane::Coordinator,
-                        "svd",
-                        "svd_final",
-                        vec![("members", acc.count().into())],
-                    );
-                }
-                let decomposed = match acc.estimate()? {
-                    Some(update) => {
-                        svd_rounds += 1;
-                        Some(update.subspace)
+                self.stop(now, Stop::Deadline(tmax))?;
+            }
+            self.release_due_retries(now);
+            self.speculate(now);
+            match msg {
+                Ok(WorkerMsg::Started { id, at }) => {
+                    self.book[id].running_since = Some(at);
+                    if self.records[id].state == TaskState::Pending {
+                        self.records[id].state = TaskState::Running;
                     }
-                    None => None,
-                };
-                if obs.enabled() {
-                    obs.end_at(ns(t0.elapsed()), Lane::Coordinator, "svd", "svd_final");
                 }
-                decomposed
-            } else {
-                previous.clone()
-            };
-            let subspace = final_subspace
-                .or(previous)
-                .ok_or(EsseError::NotEnoughMembers { have: acc.count(), need: 2 })?;
-
-            // Quarantined members that a later attempt healed.
-            freport.replaced = (0..records.len())
-                .filter(|&i| {
-                    book.quarantined[i] && matches!(records[i].outcome, Some(TaskOutcome::Success))
-                })
-                .count();
-            if let Some(m) = met {
-                m.replaced.add(freport.replaced as u64);
+                Ok(WorkerMsg::Done(done)) => {
+                    let died = done.died.then_some((done.worker, done.finished));
+                    self.on_done(now, done)?;
+                    if let Some((worker, at)) = died {
+                        self.sink.note(at, Event::WorkerDied(worker));
+                        self.alive -= 1;
+                        if self.alive == 0 {
+                            self.stop(now, Stop::PoolDied)?;
+                        }
+                    }
+                }
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => break,
             }
-            // Statistical health: permanent losses (and deadline
-            // truncation) are reported explicitly, never silently. A
-            // quarantined member whose replacement budget ran out is
-            // its own degradation class, distinct from crash-shaped
-            // losses.
-            let truncated = deadline_expired && !converged;
-            let lost =
-                members_failed + if truncated { members_cancelled + members_wasted } else { 0 };
-            let health = if lost == 0 && members_quarantined_lost == 0 {
-                RunHealth::Full
-            } else {
-                let planned = records.len().max(1);
-                let succeeded = records
-                    .iter()
-                    .filter(|r| matches!(r.outcome, Some(TaskOutcome::Success)))
-                    .count();
-                let coverage = succeeded as f64 / planned as f64;
-                if obs.enabled() {
-                    obs.instant_at(
-                        ns(t0.elapsed()),
-                        Lane::Coordinator,
-                        "workflow",
-                        "degraded",
-                        vec![
-                            ("coverage", coverage.into()),
-                            ("lost", lost.into()),
-                            ("quarantined", members_quarantined_lost.into()),
-                            ("replaced", freport.replaced.into()),
-                        ],
-                    );
-                }
-                RunHealth::Degraded {
-                    coverage,
-                    lost_members: lost,
-                    quarantined: members_quarantined_lost,
-                    replaced: freport.replaced,
-                }
-            };
-            freport.workers_died =
-                cfg.workers.max(1) - workers_alive.load(Ordering::SeqCst).min(cfg.workers.max(1));
-            if let Some(m) = met {
-                m.cancelled.add(members_cancelled as u64);
-                m.workers_died.add(freport.workers_died as u64);
-                m.members_done.set(acc.count() as f64);
-                m.coverage.set(acc.count() as f64 / records.len().max(1) as f64);
-            }
+        }
+        Ok(())
+    }
 
-            Ok(MtcOutcome {
-                central,
-                subspace,
-                converged,
-                rho_history: conv.history().to_vec(),
-                makespan: t0.elapsed(),
-                members_used: acc.count(),
-                members_failed,
-                members_wasted,
-                members_cancelled,
-                svd_rounds,
-                deadline_expired,
-                health,
-                faults: freport,
-                records,
-            })
-        })?;
-        Ok(outcome)
+    /// Queue one attempt of member `id`.
+    fn send(&mut self, id: TaskId, attempt: u32) {
+        self.sent += 1;
+        self.book[id].inflight += 1;
+        self.tasks.send(Attempt { id, attempt }).expect("the pool holds the task receiver");
+    }
+
+    /// Issue member ids up to `target`: resumed ids are recorded as done,
+    /// the others get their first attempt queued.
+    fn enqueue_to(&mut self, target: usize) {
+        while self.records.len() < target {
+            let (id, now) = (self.records.len(), self.clock());
+            let resumed = self.resumed.contains(&id);
+            let mut rec = TaskRecord::pending(id);
+            if resumed {
+                (rec.state, rec.outcome) = (TaskState::Done, Some(TaskOutcome::Success));
+            } else {
+                rec.enqueued_at = Some(now);
+            }
+            self.records.push(rec);
+            let attempts = u32::from(!resumed);
+            self.book.push(Member { attempts, resolved: resumed, ..Member::default() });
+            if !resumed {
+                self.send(id, 0);
+                self.sink.note(now, Event::Enqueued(id, None));
+            }
+        }
+    }
+
+    /// Queue the retries whose backoff has elapsed.
+    fn release_due_retries(&mut self, now: Duration) {
+        let mut i = 0;
+        while i < self.retry_queue.len() {
+            if self.retry_queue[i].0 > now {
+                i += 1;
+                continue;
+            }
+            let (_, id, attempt) = self.retry_queue.swap_remove(i);
+            self.records[id].enqueued_at = Some(now);
+            self.send(id, attempt);
+            self.sink.note(now, Event::Enqueued(id, Some(attempt)));
+        }
+    }
+
+    /// Straggler speculation: re-launch members that have been running
+    /// much longer than the mean on the (free) pool; the first finisher
+    /// resolves the member.
+    fn speculate(&mut self, now: Duration) {
+        let (retry, (sum, n)) = (&self.cfg().retry, self.runtime);
+        if !retry.speculative || self.stopped() || n < 2 {
+            return;
+        }
+        let threshold = (sum / n).mul_f64(retry.speculation_factor);
+        for id in 0..self.book.len() {
+            let m = &mut self.book[id];
+            let straggles = m.running_since.is_some_and(|t| now.saturating_sub(t) > threshold);
+            if m.resolved || m.spec_attempt.is_some() || m.inflight != 1 || !straggles {
+                continue;
+            }
+            let attempt = m.attempts;
+            m.attempts += 1;
+            m.spec_attempt = Some(attempt);
+            self.send(id, attempt);
+            self.sink.note(now, Event::SpeculativeLaunch(id, attempt));
+        }
+    }
+
+    /// Settle one finished attempt, then take the SVD and pool-growth
+    /// decisions it may trigger.
+    fn on_done(&mut self, now: Duration, d: AttemptDone) -> Step {
+        let AttemptDone { att, worker, started, finished, result, .. } = d;
+        self.sink.note(now, Event::Ran(worker, att, started, finished, result.is_err()));
+        self.got += 1;
+        let id = att.id;
+        let m = &mut self.book[id];
+        m.inflight = m.inflight.saturating_sub(1);
+        if m.inflight == 0 {
+            m.running_since = None;
+        }
+        if m.resolved {
+            // A late duplicate: the losing side of a speculation race, or
+            // a result arriving after cancellation. Only the speculative
+            // attempt itself counts as a loss — the original losing to
+            // its twin is already scored as a win.
+            if m.spec_attempt == Some(att.attempt) {
+                self.sink.note(now, Event::SpeculativeLoss(id));
+            }
+            return Ok(());
+        }
+        // Per-task timeout: an over-budget attempt is discarded even if
+        // it technically succeeded (its slot was needed elsewhere; paper
+        // §4 point 1 — timeliness).
+        let runtime = finished.saturating_sub(started);
+        let timeout = self.cfg().retry.task_timeout;
+        let timed_out = result.is_ok() && timeout.is_some_and(|limit| runtime > limit);
+        if timed_out {
+            self.sink.note(now, Event::TaskTimeout(id, runtime));
+        }
+        let rec = &mut self.records[id];
+        (rec.worker, rec.started_at, rec.finished_at) =
+            (Some(worker), Some(started), Some(finished));
+        rec.state = TaskState::Done;
+        match result {
+            Ok(_) if timed_out => {
+                let why = format!("attempt exceeded task timeout ({runtime:?})");
+                self.retry_or_fail(now, id, why, false)?
+            }
+            Err(e) => self.retry_or_fail(now, id, e.to_string(), false)?,
+            Ok(xf) => {
+                self.runtime = (self.runtime.0 + runtime, self.runtime.1 + 1);
+                match self.validator.as_ref().map(|v| v.validate_member(id as u64, &xf)) {
+                    Some(Verdict::Quarantine(reason)) => self.quarantine(now, id, reason)?,
+                    _ => self.accept(now, att, started, &xf)?,
+                }
+            }
+        }
+        let wait = self.records[id].queue_wait();
+        self.sink.note(self.clock(), Event::Progress(self.acc.count(), self.records.len(), wait));
+        if self.stopped() {
+            return Ok(()); // draining in-flight results
+        }
+        let (count, stage_target) = (self.acc.count(), self.stages[self.stage]);
+        if (self.since_svd >= self.cfg().svd_stride || count >= stage_target) && count >= 2 {
+            self.svd_round()?;
+        }
+        self.advance_stage();
+        Ok(())
+    }
+
+    /// A payload that passed validation enters the ensemble — unless a
+    /// stop came first: after the deadline late runs are ignored, after
+    /// convergence the completion policy decides (§4.1).
+    fn accept(&mut self, now: Duration, att: Attempt, started: Duration, xf: &[f64]) -> Step {
+        let id = att.id;
+        self.book[id].resolved = true;
+        if self.book[id].spec_attempt == Some(att.attempt) {
+            self.sink.note(now, Event::SpeculativeWin(id));
+        }
+        let keep = match (self.converged_at, self.cfg().completion) {
+            (None, _) => !self.deadline_expired,
+            (Some(_), CompletionPolicy::CancelImmediately) => false,
+            (Some(_), CompletionPolicy::UseCompleted) => true,
+            // Spare only members that had already run ≥ frac of the mean
+            // runtime when convergence fired ("spare any ensemble
+            // calculations close to finishing").
+            (Some(at), CompletionPolicy::SpareNearlyDone(frac)) => {
+                let mean = self.runtime.0.checked_div(self.runtime.1).unwrap_or_default();
+                at.saturating_sub(started).as_secs_f64() >= frac * mean.as_secs_f64()
+            }
+        };
+        if !keep {
+            self.records[id].outcome = Some(TaskOutcome::Wasted);
+            self.sink.note(now, Event::Wasted);
+            return Ok(());
+        }
+        self.records[id].outcome = Some(TaskOutcome::Success);
+        self.since_svd += 1;
+        self.admit(id, xf, Some(self.book[id].attempts))?;
+        self.sink.note(now, Event::Completed);
+        Ok(())
+    }
+
+    /// Fold a member into the ensemble: the journal first (blob, then
+    /// the record as commit point; a resumed member, `attempts: None`,
+    /// is already there), then the estimator, then the validator's
+    /// decided-prefix statistics.
+    fn admit(&mut self, id: TaskId, xf: &[f64], attempts: Option<u32>) -> Step {
+        if let (Some((ck, _)), Some(n)) = (&self.journal, attempts) {
+            ck.record_member(id, n, xf)?;
+        }
+        self.acc.add_member(id, xf);
+        if let Some(v) = self.validator.as_mut() {
+            v.note_decided(id as u64, xf);
+        }
+        Ok(())
+    }
+
+    /// Semantic quarantine: the attempt "succeeded" but its payload is
+    /// wrong, so it never enters the spread matrix. After a stop the
+    /// member would have been wasted anyway; before one the quarantine
+    /// is journalled (resume replays it bit-for-bit) and the member is
+    /// replaced under the retry budget.
+    fn quarantine(&mut self, now: Duration, id: TaskId, reason: Reason) -> Step {
+        self.book[id].quarantined = true;
+        self.sink.note(now, Event::Quarantined(id, reason.code()));
+        if self.stopped() {
+            self.book[id].resolved = true;
+            self.records[id].outcome = Some(TaskOutcome::Wasted);
+            self.sink.note(now, Event::Wasted);
+            return Ok(());
+        }
+        if let Some((ck, _)) = &self.journal {
+            ck.record_quarantined(id, reason.code())?;
+        }
+        self.retry_or_fail(now, id, format!("quarantined: {}", reason.describe()), true)
+    }
+
+    /// A failed, timed-out or `quarantined` attempt: a twin still in
+    /// flight decides the member's fate; otherwise the member is
+    /// requeued with exponential backoff and jitter under the retry
+    /// budget (a replacement, for a quarantined one), or fails for good.
+    fn retry_or_fail(&mut self, now: Duration, id: TaskId, why: String, quarantined: bool) -> Step {
+        let (attempts, retry) = (self.book[id].attempts, &self.cfg().retry);
+        if self.book[id].inflight > 0 {
+            self.records[id].state = TaskState::Running;
+        } else if !self.stopped() && attempts < retry.max_attempts {
+            let delay = retry.backoff_delay(attempts, &mut self.jitter);
+            self.book[id].attempts += 1;
+            self.retry_queue.push((now + delay, id, attempts));
+            (self.records[id].state, self.records[id].outcome) = (TaskState::Pending, None);
+            let ev = if quarantined {
+                Event::ReplacementScheduled(id, attempts)
+            } else {
+                Event::RetryScheduled(id, attempts, delay)
+            };
+            self.sink.note(now, ev);
+        } else {
+            self.book[id].resolved = true;
+            self.records[id].outcome = Some(TaskOutcome::Failed(why));
+            if let Some((ck, _)) = &self.journal {
+                ck.record_failed(id, attempts as i32)?;
+            }
+            let ev = if quarantined {
+                Event::LostQuarantine(id, attempts)
+            } else {
+                Event::Failed(id, attempts)
+            };
+            self.sink.note(now, ev);
+        }
+        Ok(())
+    }
+
+    /// Decompose the ensemble, test convergence against the previous
+    /// estimate, and publish the estimate: covariance files first, the
+    /// journal record as commit point.
+    fn svd_round(&mut self) -> Step {
+        self.since_svd = 0;
+        let (started, members) = (self.clock(), self.acc.count());
+        let mut update = None;
+        if let Some(u) = self.acc.estimate()? {
+            self.svd_rounds += 1;
+            update = Some((u.kind, u.defect, u.error_bound));
+            let mut rho = f64::NAN;
+            if let Some(prev) = &self.previous {
+                rho = similarity(prev, &u.subspace);
+                self.sink.note(self.clock(), Event::ConvergenceCheck(rho, members));
+                if self.conv.check(rho) {
+                    self.stop(self.clock(), Stop::Converged(rho))?;
+                }
+            }
+            if let Some((ck, cov)) = &self.journal {
+                self.svd_version += 1;
+                cov.publish(&encode_subspace_blob(&u.subspace), self.svd_version)?;
+                ck.record_svd(members, self.svd_version, rho)?;
+                if self.converged_at.is_some() {
+                    ck.record_converged(members, rho)?;
+                }
+            }
+            self.previous = Some(u.subspace);
+        }
+        self.sink.note(self.clock(), Event::SvdRound(members, started, update));
+        Ok(())
+    }
+
+    /// Pool growth: a complete but unconverged stage moves the run to the
+    /// next one and tops the pool up before the pipeline drains (§4.1).
+    fn advance_stage(&mut self) -> bool {
+        let next = self.stage + 1;
+        if self.stopped() || next == self.stages.len() || self.acc.count() < self.stages[self.stage]
+        {
+            return false;
+        }
+        self.stage = next;
+        self.sink.note(self.clock(), Event::StageAdvance(self.stages[next]));
+        self.enqueue_to(self.pool_target(self.stages[next]));
+        true
+    }
+
+    /// The one stop path — convergence, the Tmax deadline, or the death of
+    /// the whole pool. Idle workers exit, backoff-pending retries are
+    /// cancelled and queued attempts drained. When the pool died nobody
+    /// will ever run them: the retries fail and the drained members are
+    /// lost.
+    fn stop(&mut self, now: Duration, cause: Stop) -> Step {
+        match cause {
+            Stop::Converged(rho) => {
+                self.converged_at = Some(now);
+                self.sink.note(now, Event::Converged(rho, self.acc.count()));
+            }
+            Stop::Deadline(tmax) => {
+                self.deadline_expired = true;
+                self.sink.note(now, Event::DeadlineExpired(tmax));
+            }
+            Stop::PoolDied => {}
+        }
+        self.pool.cancel.store(true, Ordering::Relaxed);
+        let died = matches!(cause, Stop::PoolDied);
+        for (_, id, _) in std::mem::take(&mut self.retry_queue) {
+            if died {
+                self.retry_or_fail(now, id, "worker pool died".into(), false)?;
+            } else {
+                self.cancelled(now, id, false);
+            }
+        }
+        while let Ok(Attempt { id, .. }) = crate::lock(&self.pool.queue).try_recv() {
+            self.got += 1;
+            self.book[id].inflight = self.book[id].inflight.saturating_sub(1);
+            if !self.book[id].resolved {
+                self.cancelled(now, id, died);
+            }
+        }
+        Ok(())
+    }
+
+    fn cancelled(&mut self, now: Duration, id: TaskId, abandoned: bool) {
+        self.book[id].resolved = true;
+        self.records[id].state = TaskState::Cancelled;
+        self.sink.note(now, Event::Cancelled(id, abandoned));
+    }
+
+    /// Wind down: the final decomposition, the health verdict, the
+    /// outcome.
+    fn finish(mut self, central: Vec<f64>) -> Result<MtcOutcome, EsseError> {
+        for (rec, m) in self.records.iter_mut().zip(&self.book) {
+            rec.attempts = m.attempts;
+        }
+        let (done, planned) = (self.acc.count(), self.records.len());
+        if self.deadline_expired && done < 2 {
+            let budget = self.cfg().deadline.unwrap_or_default();
+            return Err(EsseError::Deadline { elapsed: self.clock(), budget });
+        }
+        // Completion policy: a final SVD over everything that arrived.
+        let mut decomposed = None;
+        if !matches!(self.cfg().completion, CompletionPolicy::CancelImmediately)
+            || self.previous.is_none()
+        {
+            let started = self.clock();
+            decomposed = self.acc.estimate()?.map(|u| u.subspace);
+            self.svd_rounds += usize::from(decomposed.is_some());
+            let args = || vec![("members", done.into())];
+            self.sink.span(started, self.clock(), "svd", "svd_final", args);
+        }
+        let subspace = decomposed
+            .or(self.previous.take())
+            .ok_or(EsseError::NotEnoughMembers { have: done, need: 2 })?;
+
+        let now = self.clock();
+        let succeeded: Vec<bool> =
+            self.records.iter().map(|r| matches!(r.outcome, Some(TaskOutcome::Success))).collect();
+        // Quarantined members that a later attempt healed.
+        let healed = self.book.iter().zip(&succeeded).filter(|(m, ok)| m.quarantined && **ok);
+        for _ in 0..healed.count() {
+            self.sink.note(now, Event::Replaced);
+        }
+        // Statistical health: permanent losses, deadline truncation and
+        // members a dead pool never ran are reported explicitly, never
+        // silently. A quarantined member whose replacement budget ran
+        // out is its own degradation class, distinct from crash-shaped
+        // losses.
+        let cancelled = self.records.iter().filter(|r| r.state == TaskState::Cancelled).count();
+        let (converged, s) = (self.converged_at.is_some(), &self.sink);
+        let truncated = self.deadline_expired && !converged;
+        let lost = s.failed + if truncated { cancelled + s.wasted } else { s.abandoned };
+        let (quarantined, replaced) = (s.lost_quarantine, s.faults.replaced);
+        let health = if lost == 0 && quarantined == 0 {
+            RunHealth::Full
+        } else {
+            let coverage =
+                succeeded.iter().filter(|ok| **ok).count() as f64 / planned.max(1) as f64;
+            self.sink.note(now, Event::Degraded(coverage, lost, quarantined, replaced));
+            RunHealth::Degraded { coverage, lost_members: lost, quarantined, replaced }
+        };
+        self.sink.note(now, Event::Progress(done, planned, None));
+        Ok(MtcOutcome {
+            central,
+            subspace,
+            converged,
+            rho_history: self.conv.history().to_vec(),
+            makespan: self.clock(),
+            members_used: done,
+            members_failed: self.sink.failed,
+            members_wasted: self.sink.wasted,
+            members_cancelled: cancelled,
+            svd_rounds: self.svd_rounds,
+            deadline_expired: self.deadline_expired,
+            health,
+            faults: self.sink.faults,
+            records: self.records,
+        })
     }
 }
 
@@ -2089,6 +1987,19 @@ mod tests {
         let err: EsseError = MtcConfig::builder().workers(0).build().unwrap_err().into();
         assert!(matches!(err, EsseError::Config(_)));
         assert!(err.to_string().contains("workers"));
+    }
+
+    #[test]
+    fn run_rejects_configs_the_builder_would_reject() {
+        let (model, prior, mean) = setup();
+        let zero_workers = MtcConfig { workers: 0, ..config(1) };
+        let zero_stride = MtcConfig { svd_stride: 0, ..config(1) };
+        for (cfg, field) in [(zero_workers, "workers"), (zero_stride, "svd_stride")] {
+            match MtcEsse::new(&model, cfg).run(RunInit::new(&mean, &prior)) {
+                Err(EsseError::Config(e)) => assert_eq!(e.field, field),
+                other => panic!("{field}: expected a config error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

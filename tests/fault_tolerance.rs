@@ -60,6 +60,23 @@ fn faulty_config(n: usize, workers: usize, plan: FaultPlan, retry: RetryPolicy) 
         .expect("valid fault config")
 }
 
+/// Cases of the never-silent sweep in which the whole worker pool dies.
+const POOL_DEATH_CASES: u64 = 8;
+
+/// Pool-death case `k`: a 16-member fixed plan on 1–4 workers, every
+/// one of which dies at its 3rd–5th task, with or without retries. The
+/// pool dies before the plan is through, so the members it never ran
+/// must surface as losses.
+fn pool_death_config(k: u64) -> MtcConfig {
+    let workers = 1 + (k % 4) as usize;
+    let mut plan = FaultPlan::seeded(mix(base_seed() ^ k));
+    for w in 0..workers {
+        plan = plan.with_worker_death(w, 3 + (w + k as usize) % 3);
+    }
+    let retry = if k % 2 == 0 { RetryPolicy::retries(3) } else { RetryPolicy::disabled() };
+    faulty_config(16, workers, plan, retry)
+}
+
 /// The central invariant: whatever faults are injected, a run that
 /// returns `Ok` either covers the full planned member set (`Full`) or
 /// says exactly how much it lost (`Degraded { coverage, .. }` consistent
@@ -71,7 +88,7 @@ fn faults_yield_full_coverage_or_explicit_degraded_never_silent() {
     let mean = vec![0.0; 6];
     let seed = base_seed();
 
-    for case in 0..24u64 {
+    for case in 0..24 + POOL_DEATH_CASES {
         let s = seed.wrapping_mul(0x1000_0001).wrapping_add(case);
         let crash = 0.30 * unit(s);
         let io = 0.30 * unit(s ^ 0xA5A5);
@@ -88,7 +105,11 @@ fn faults_yield_full_coverage_or_explicit_degraded_never_silent() {
             RetryPolicy::retries(max_attempts).with_backoff(Duration::from_micros(200), 2.0, 0.3)
         };
 
-        let cfg = faulty_config(16, workers, plan, retry);
+        let cfg = if case < 24 {
+            faulty_config(16, workers, plan, retry)
+        } else {
+            pool_death_config(case - 24)
+        };
         let out = MtcEsse::new(&model, cfg)
             .run(RunInit::new(&mean, &prior))
             .unwrap_or_else(|e| panic!("case {case}: run errored: {e}"));
