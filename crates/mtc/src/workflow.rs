@@ -10,8 +10,9 @@
 //! * **continuous SVD + convergence** — every `svd_stride` new members a
 //!   consistent snapshot (the "safe file", see [`crate::triple_buffer`])
 //!   is decomposed and compared with the previous subspace;
-//! * **cancellation** — on convergence the cancel flag stops idle
-//!   workers, pending tasks are drained, and the completion policy
+//! * **cancellation** — convergence, the Tmax deadline and the death of
+//!   the whole pool share one stop path: idle workers exit, pending
+//!   retries are cancelled and the queue drained; the completion policy
 //!   decides what happens to members already computed or still running;
 //! * **failure recovery** — failed or timed-out attempts are requeued
 //!   with exponential backoff under the [`RetryPolicy`] budget, slow
@@ -53,8 +54,8 @@ fn ns(d: Duration) -> u64 {
 /// Configuration of the MTC workflow.
 ///
 /// Prefer [`MtcConfig::builder`] for new code: it validates the
-/// combination before the engine ever sees it. Struct construction with
-/// `..Default::default()` keeps working for mechanical migration.
+/// combination as it is built. Struct construction with
+/// `..Default::default()` works too; [`MtcEsse::run`] validates either.
 #[derive(Debug, Clone)]
 pub struct MtcConfig {
     /// Worker threads (the paper's cluster cores).
@@ -180,103 +181,54 @@ pub struct MtcConfigBuilder {
     cfg: MtcConfig,
 }
 
+/// One builder setter per configuration field (`=> Some` wraps an
+/// optional field).
+macro_rules! setters {
+    ($($(#[$doc:meta])* $field:ident: $ty:ty $(=> $wrap:ident)?;)*) => {$(
+        $(#[$doc])*
+        pub fn $field(mut self, value: $ty) -> Self {
+            self.cfg.$field = $($wrap)?(value);
+            self
+        }
+    )*};
+}
+
 impl MtcConfigBuilder {
-    /// Worker threads.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.cfg.workers = workers;
-        self
-    }
-
-    /// Pool over-provisioning factor (`M = ceil(pool_factor · N)`).
-    pub fn pool_factor(mut self, factor: f64) -> Self {
-        self.cfg.pool_factor = factor;
-        self
-    }
-
-    /// Ensemble growth schedule.
-    pub fn schedule(mut self, schedule: EnsembleSchedule) -> Self {
-        self.cfg.schedule = schedule;
-        self
-    }
-
-    /// Convergence tolerance.
-    pub fn tolerance(mut self, tol: f64) -> Self {
-        self.cfg.tolerance = tol;
-        self
-    }
-
-    /// Relative σ cutoff for retained modes.
-    pub fn mode_rel_tol(mut self, tol: f64) -> Self {
-        self.cfg.mode_rel_tol = tol;
-        self
-    }
-
-    /// Maximum retained rank.
-    pub fn max_rank(mut self, rank: usize) -> Self {
-        self.cfg.max_rank = rank;
-        self
-    }
-
-    /// Perturbation settings.
-    pub fn perturb(mut self, perturb: PerturbConfig) -> Self {
-        self.cfg.perturb = perturb;
-        self
-    }
-
-    /// Forecast duration (model seconds).
-    pub fn duration(mut self, seconds: f64) -> Self {
-        self.cfg.duration = seconds;
-        self
-    }
-
-    /// Forecast start (model seconds).
-    pub fn start_time(mut self, seconds: f64) -> Self {
-        self.cfg.start_time = seconds;
-        self
-    }
-
-    /// SVD stride (members between decompositions).
-    pub fn svd_stride(mut self, stride: usize) -> Self {
-        self.cfg.svd_stride = stride;
-        self
-    }
-
-    /// Completion policy for in-flight members at convergence.
-    pub fn completion(mut self, policy: CompletionPolicy) -> Self {
-        self.cfg.completion = policy;
-        self
-    }
-
-    /// Hard Tmax wall-clock deadline.
-    pub fn deadline(mut self, tmax: Duration) -> Self {
-        self.cfg.deadline = Some(tmax);
-        self
-    }
-
-    /// Failure recovery policy.
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.cfg.retry = retry;
-        self
-    }
-
-    /// Deterministic fault injection plan.
-    pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.cfg.faults = Some(plan);
-        self
-    }
-
-    /// Subspace estimation strategy (default: bit-identical
-    /// [`SubspaceStrategy::FullRecompute`]).
-    pub fn subspace(mut self, strategy: SubspaceStrategy) -> Self {
-        self.cfg.subspace = strategy;
-        self
-    }
-
-    /// Linalg engine context (threads + cache block size), passed to
-    /// the kernels once at engine construction.
-    pub fn linalg(mut self, ctx: LinalgCtx) -> Self {
-        self.cfg.linalg = ctx;
-        self
+    setters! {
+        /// Worker threads.
+        workers: usize;
+        /// Pool over-provisioning factor (`M = ceil(pool_factor · N)`).
+        pool_factor: f64;
+        /// Ensemble growth schedule.
+        schedule: EnsembleSchedule;
+        /// Convergence tolerance.
+        tolerance: f64;
+        /// Relative σ cutoff for retained modes.
+        mode_rel_tol: f64;
+        /// Maximum retained rank.
+        max_rank: usize;
+        /// Perturbation settings.
+        perturb: PerturbConfig;
+        /// Forecast duration (model seconds).
+        duration: f64;
+        /// Forecast start (model seconds).
+        start_time: f64;
+        /// SVD stride (members between decompositions).
+        svd_stride: usize;
+        /// Completion policy for in-flight members at convergence.
+        completion: CompletionPolicy;
+        /// Hard Tmax wall-clock deadline.
+        deadline: Duration => Some;
+        /// Failure recovery policy.
+        retry: RetryPolicy;
+        /// Deterministic fault injection plan.
+        faults: FaultPlan => Some;
+        /// Subspace estimation strategy (default: bit-identical
+        /// [`SubspaceStrategy::FullRecompute`]).
+        subspace: SubspaceStrategy;
+        /// Linalg engine context (threads + cache block size), passed to
+        /// the kernels once at engine construction.
+        linalg: LinalgCtx;
     }
 
     /// Validate and produce the configuration.
@@ -442,63 +394,50 @@ struct Member {
     quarantined: bool,
 }
 
-/// Live metric handles for one run, registered by
-/// [`MtcEsse::with_metrics`]. Handles are atomics behind `Arc`s, so
-/// updating them never touches the registry lock.
-struct Meters {
-    members_done: Gauge,
-    coverage: Gauge,
-    rho: Gauge,
-    completed: Counter,
-    failed: Counter,
-    wasted: Counter,
-    cancelled: Counter,
-    attempts: Counter,
-    retries: Counter,
-    timeouts: Counter,
-    spec_launches: Counter,
-    spec_wins: Counter,
-    spec_losses: Counter,
-    workers_died: Counter,
-    quarantined: Counter,
-    replaced: Counter,
-    member_runtime: Histogram,
-    /// Incremental rank-block folds of the subspace lane.
-    subspace_update: Histogram,
-    /// Full recomputes of the subspace lane (every round under
-    /// `FullRecompute`; drift-control refreshes under `Incremental`).
-    subspace_refresh: Histogram,
-    /// Orthonormality defect of the last published estimate.
-    subspace_defect: Gauge,
-    queue_wait: Histogram,
+/// Declares [`Meters`], one live handle per registered metric.
+macro_rules! meters {
+    ($($field:ident: $ty:ident = $kind:ident($name:literal),)*) => {
+        /// Live metric handles for one run, registered by
+        /// [`MtcEsse::with_metrics`]. Handles are atomics behind `Arc`s,
+        /// so updating them never touches the registry lock.
+        struct Meters {
+            $($field: $ty,)*
+        }
+
+        impl Meters {
+            fn new(reg: &MetricsRegistry) -> Meters {
+                Meters { $($field: reg.$kind($name),)* }
+            }
+        }
+    };
 }
 
-impl Meters {
-    fn new(reg: &MetricsRegistry) -> Meters {
-        Meters {
-            members_done: reg.gauge("esse_members_done"),
-            coverage: reg.gauge("esse_coverage"),
-            rho: reg.gauge("esse_convergence_rho"),
-            completed: reg.counter("esse_tasks_completed_total"),
-            failed: reg.counter("esse_tasks_failed_total"),
-            wasted: reg.counter("esse_tasks_wasted_total"),
-            cancelled: reg.counter("esse_tasks_cancelled_total"),
-            attempts: reg.counter("esse_task_attempts_total"),
-            retries: reg.counter("esse_retries_total"),
-            timeouts: reg.counter("esse_task_timeouts_total"),
-            spec_launches: reg.counter("esse_speculative_launches_total"),
-            spec_wins: reg.counter("esse_speculative_wins_total"),
-            spec_losses: reg.counter("esse_speculative_losses_total"),
-            workers_died: reg.counter("esse_workers_died_total"),
-            quarantined: reg.counter("esse_quarantined_total"),
-            replaced: reg.counter("esse_replaced_total"),
-            member_runtime: reg.histogram("esse_member_runtime_ns"),
-            subspace_update: reg.histogram("esse_subspace_update_ns"),
-            subspace_refresh: reg.histogram("esse_subspace_refresh_ns"),
-            subspace_defect: reg.gauge("esse_subspace_defect"),
-            queue_wait: reg.histogram("esse_queue_wait_ns"),
-        }
-    }
+meters! {
+    members_done: Gauge = gauge("esse_members_done"),
+    coverage: Gauge = gauge("esse_coverage"),
+    rho: Gauge = gauge("esse_convergence_rho"),
+    completed: Counter = counter("esse_tasks_completed_total"),
+    failed: Counter = counter("esse_tasks_failed_total"),
+    wasted: Counter = counter("esse_tasks_wasted_total"),
+    cancelled: Counter = counter("esse_tasks_cancelled_total"),
+    attempts: Counter = counter("esse_task_attempts_total"),
+    retries: Counter = counter("esse_retries_total"),
+    timeouts: Counter = counter("esse_task_timeouts_total"),
+    spec_launches: Counter = counter("esse_speculative_launches_total"),
+    spec_wins: Counter = counter("esse_speculative_wins_total"),
+    spec_losses: Counter = counter("esse_speculative_losses_total"),
+    workers_died: Counter = counter("esse_workers_died_total"),
+    quarantined: Counter = counter("esse_quarantined_total"),
+    replaced: Counter = counter("esse_replaced_total"),
+    member_runtime: Histogram = histogram("esse_member_runtime_ns"),
+    // Incremental rank-block folds of the subspace lane.
+    subspace_update: Histogram = histogram("esse_subspace_update_ns"),
+    // Full recomputes of the subspace lane (every round under
+    // `FullRecompute`; drift-control refreshes under `Incremental`).
+    subspace_refresh: Histogram = histogram("esse_subspace_refresh_ns"),
+    // Orthonormality defect of the last published estimate.
+    subspace_defect: Gauge = gauge("esse_subspace_defect"),
+    queue_wait: Histogram = histogram("esse_queue_wait_ns"),
 }
 
 /// The MTC ESSE engine.
@@ -609,7 +548,7 @@ impl<'m, M: ForecastModel> MtcEsse<'m, M> {
         // Central forecast first: the differ needs it.
         let begun = t0.elapsed();
         let central = self.model.forecast(init.mean, cfg.start_time, cfg.duration, None)?;
-        sink.span(begun, t0.elapsed(), "phase", "central_forecast", Vec::new);
+        sink.note(t0.elapsed(), Event::Span("phase", "central_forecast", begun, None));
 
         let (tasks, queue) = channel();
         let (msg_tx, msgs) = channel();
@@ -622,7 +561,7 @@ impl<'m, M: ForecastModel> MtcEsse<'m, M> {
             queue: Mutex::new(queue),
             cancel: AtomicBool::new(false),
         };
-        let estimator = make_estimator(
+        let acc = make_estimator(
             &cfg.subspace,
             central.clone(),
             cfg.mode_rel_tol,
@@ -644,7 +583,7 @@ impl<'m, M: ForecastModel> MtcEsse<'m, M> {
             sent: 0,
             got: 0,
             alive: cfg.workers,
-            acc: estimator,
+            acc,
             conv: match replay {
                 Some(r) => ConvergenceTest::restore(cfg.tolerance, &r.rho_history),
                 None => ConvergenceTest::new(cfg.tolerance),
@@ -731,14 +670,11 @@ fn work(w: usize, pool: &Pool<'_>, tx: Sender<WorkerMsg>) {
         let _ = tx.send(WorkerMsg::Started { id, at: started });
         let died = plan.is_some_and(|p| p.worker_dies(w, taken));
         let injected = |what| Err(ForecastError::Injected(what));
+        let which = || format!("(member {id}, attempt {attempt})");
         let result = match plan.and_then(|p| p.fault_for(id, attempt)) {
             _ if died => injected(format!("worker {w} died running member {id}")),
-            Some(FaultKind::Crash) => {
-                injected(format!("injected crash (member {id}, attempt {attempt})"))
-            }
-            Some(FaultKind::TransientIo) => {
-                injected(format!("transient I/O error (member {id}, attempt {attempt})"))
-            }
+            Some(FaultKind::Crash) => injected(format!("injected crash {}", which())),
+            Some(FaultKind::TransientIo) => injected(format!("transient I/O error {}", which())),
             Some(FaultKind::Straggle(extra)) => {
                 // A straggler: the work happens, just late.
                 std::thread::sleep(extra);
@@ -747,14 +683,8 @@ fn work(w: usize, pool: &Pool<'_>, tx: Sender<WorkerMsg>) {
             None => pool.forecast(att),
         };
         let finished = pool.t0.elapsed();
-        let _ = tx.send(WorkerMsg::Done(AttemptDone {
-            att,
-            worker: w,
-            started,
-            finished,
-            result,
-            died,
-        }));
+        let done = AttemptDone { att, worker: w, started, finished, result, died };
+        let _ = tx.send(WorkerMsg::Done(done));
         if died {
             break;
         }
@@ -767,7 +697,7 @@ enum Stop {
     /// The convergence criterion fired at this similarity.
     Converged(f64),
     /// The Tmax deadline expired.
-    Deadline(Duration),
+    Deadline,
     /// Every worker died.
     PoolDied,
 }
@@ -779,18 +709,16 @@ enum Event {
     Resumed(usize),
     /// An attempt was queued (with its index, when it is not the first).
     Enqueued(TaskId, Option<u32>),
-    /// `(worker, attempt, started, finished, failed)`: a worker ran an
-    /// attempt.
+    /// A worker ran an attempt: `(worker, attempt, started, finished, failed)`.
     Ran(usize, Attempt, Duration, Duration, bool),
-    /// A stop cancelled a member that had not run; `true` when the pool
-    /// died, which makes it a lost member.
+    /// A stop cancelled a member before its next attempt ran; `true` when
+    /// the pool died, which makes it a lost member.
     Cancelled(TaskId, bool),
     /// `(member, runtime)`: an attempt overran the task timeout.
     TaskTimeout(TaskId, Duration),
-    /// `(member, attempt, delay)`: a failed member is requeued.
-    RetryScheduled(TaskId, u32, Duration),
-    /// `(member, attempt)`: a quarantined member gets a replacement.
-    ReplacementScheduled(TaskId, u32),
+    /// `(member, attempt, delay, quarantined)`: a failed member is
+    /// retried, a quarantined one replaced.
+    Requeued(TaskId, u32, Duration, bool),
     /// `(member, attempt)`: a straggler's duplicate is launched.
     SpeculativeLaunch(TaskId, u32),
     /// The speculative copy resolved the member.
@@ -803,16 +731,14 @@ enum Event {
     Completed,
     /// A member was computed in vain (it arrived after a stop).
     Wasted,
-    /// `(member, attempts)`: a member failed for good.
-    Failed(TaskId, u32),
-    /// `(member, attempts)`: a quarantined member was never healed.
-    LostQuarantine(TaskId, u32),
+    /// `(member, attempts, quarantined)`: a member failed for good, or a
+    /// quarantined one was never healed.
+    Lost(TaskId, u32, bool),
     /// A quarantined member was healed by a later attempt.
     Replaced,
     /// The worker with this index died.
     WorkerDied(usize),
-    /// `(members done, planned, queue wait)` after a settled attempt and
-    /// at the end of the run.
+    /// `(members done, planned, queue wait)` as the run progresses.
     Progress(usize, usize, Option<Duration>),
     /// `(members, started, update kind / defect / error bound)`: an SVD
     /// round, with no update when the ensemble is still too small.
@@ -825,6 +751,8 @@ enum Event {
     DeadlineExpired(Duration),
     /// The pool grows to this stage target.
     StageAdvance(usize),
+    /// `(cat, name, started, members)`: a coordinator span that ended now.
+    Span(&'static str, &'static str, Duration, Option<usize>),
     /// `(coverage, lost, quarantined, replaced)` of a degraded run.
     Degraded(f64, usize, usize, usize),
 }
@@ -865,13 +793,9 @@ impl<'a> Sink<'a> {
         let f = &mut self.faults;
         let (tally, counter): (Option<&mut usize>, Option<Pick>) = match ev {
             Ran(..) => (None, Some(|m| &m.attempts)),
-            Cancelled(_, abandoned) => {
-                (abandoned.then_some(&mut self.abandoned), Some(|m| &m.cancelled))
-            }
+            Cancelled(_, lost) => (lost.then_some(&mut self.abandoned), Some(|m| &m.cancelled)),
             TaskTimeout(..) => (Some(&mut f.timeouts), Some(|m| &m.timeouts)),
-            RetryScheduled(..) | ReplacementScheduled(..) => {
-                (Some(&mut f.retries), Some(|m| &m.retries))
-            }
+            Requeued(..) => (Some(&mut f.retries), Some(|m| &m.retries)),
             SpeculativeLaunch(..) => {
                 (Some(&mut f.speculative_launches), Some(|m| &m.spec_launches))
             }
@@ -880,8 +804,8 @@ impl<'a> Sink<'a> {
             Quarantined(..) => (Some(&mut f.quarantined), Some(|m| &m.quarantined)),
             Completed => (None, Some(|m| &m.completed)),
             Wasted => (Some(&mut self.wasted), Some(|m| &m.wasted)),
-            Failed(..) => (Some(&mut self.failed), Some(|m| &m.failed)),
-            LostQuarantine(..) => (Some(&mut self.lost_quarantine), Some(|m| &m.failed)),
+            Lost(.., false) => (Some(&mut self.failed), Some(|m| &m.failed)),
+            Lost(.., true) => (Some(&mut self.lost_quarantine), Some(|m| &m.failed)),
             Replaced => (Some(&mut f.replaced), Some(|m| &m.replaced)),
             WorkerDied(_) => (Some(&mut f.workers_died), Some(|m| &m.workers_died)),
             _ => (None, None),
@@ -926,18 +850,19 @@ impl<'a> Sink<'a> {
         use Event::*;
         let (obs, coord, ts) = (self.obs, Lane::Coordinator, ns(now));
         let member = |id: TaskId| ("member", ArgValue::from(id));
-        let attempt = |a: u32| ("attempt", ArgValue::from(u64::from(a)));
+        let task = |id, a: u32| vec![member(id), ("attempt", ArgValue::from(u64::from(a)))];
         let count = |name, n: usize| (name, ArgValue::from(n));
+        let tries = |id, n: u32| vec![member(id), count("attempts", n as usize)];
+        let rho_at = |rho: f64, n| vec![("rho", rho.into()), count("members", n)];
         let (cat, name, args) = match ev {
             Resumed(n) => ("workflow", "resumed", vec![count("members", n)]),
             Enqueued(id, None) => ("sched", "enqueued", vec![member(id)]),
-            Enqueued(id, Some(a)) => ("sched", "enqueued", vec![member(id), attempt(a)]),
+            Enqueued(id, Some(a)) => ("sched", "enqueued", task(id, a)),
             Ran(w, Attempt { id, attempt: a }, started, finished, failed) => {
                 let lane = Lane::Worker(w as u32);
-                obs.begin_at(ns(started), lane, "task", "member", vec![member(id), attempt(a)]);
+                obs.begin_at(ns(started), lane, "task", "member", task(id, a));
                 if failed {
-                    let args = vec![member(id), attempt(a)];
-                    obs.instant_at(ns(finished), lane, "task", "member_failed", args);
+                    obs.instant_at(ns(finished), lane, "task", "member_failed", task(id, a));
                 }
                 obs.end_at(ns(finished), lane, "task", "member");
                 obs.observe("member", ns(finished.saturating_sub(started)));
@@ -947,29 +872,21 @@ impl<'a> Sink<'a> {
             TaskTimeout(id, rt) => {
                 ("fault", "task_timeout", vec![member(id), ("runtime_ms", ms(rt))])
             }
-            RetryScheduled(id, a, delay) => {
-                ("fault", "retry_scheduled", vec![member(id), attempt(a), ("delay_ms", ms(delay))])
+            Requeued(id, a, _, true) => ("fault", "replacement_scheduled", task(id, a)),
+            Requeued(id, a, delay, false) => {
+                let mut args = task(id, a);
+                args.push(("delay_ms", ms(delay)));
+                ("fault", "retry_scheduled", args)
             }
-            ReplacementScheduled(id, a) => {
-                ("fault", "replacement_scheduled", vec![member(id), attempt(a)])
-            }
-            SpeculativeLaunch(id, a) => {
-                ("fault", "speculative_launch", vec![member(id), attempt(a)])
-            }
+            SpeculativeLaunch(id, a) => ("fault", "speculative_launch", task(id, a)),
             SpeculativeWin(id) => ("fault", "speculative_win", vec![member(id)]),
             SpeculativeLoss(id) => ("fault", "speculative_loss", vec![member(id)]),
             Quarantined(id, reason) => {
                 let reason = ("reason", ArgValue::from(u64::from(reason)));
                 ("fault", "member_quarantined", vec![member(id), reason])
             }
-            Failed(id, n) => (
-                "fault",
-                "member_failed_permanent",
-                vec![member(id), count("attempts", n as usize)],
-            ),
-            LostQuarantine(id, n) => {
-                ("fault", "member_lost_quarantine", vec![member(id), count("attempts", n as usize)])
-            }
+            Lost(id, n, false) => ("fault", "member_failed_permanent", tries(id, n)),
+            Lost(id, n, true) => ("fault", "member_lost_quarantine", tries(id, n)),
             WorkerDied(w) => {
                 let args = vec![count("worker", w)];
                 obs.instant_at(ts, Lane::Worker(w as u32), "fault", "worker_died", args);
@@ -979,9 +896,8 @@ impl<'a> Sink<'a> {
                 obs.counter_at(ts, coord, "members_done", done as f64);
                 obs.counter_at(ts, coord, "members_failed", self.failed as f64);
                 obs.counter_at(ts, coord, "members_wasted", self.wasted as f64);
-                for (name, n) in
-                    [("retries", self.faults.retries), ("timeouts", self.faults.timeouts)]
-                {
+                let f = &self.faults;
+                for (name, n) in [("retries", f.retries), ("timeouts", f.timeouts)] {
                     if n > 0 {
                         obs.counter_at(ts, coord, name, n as f64);
                     }
@@ -1006,12 +922,8 @@ impl<'a> Sink<'a> {
                 obs.observe("svd", ns(now.saturating_sub(started)));
                 return;
             }
-            ConvergenceCheck(rho, n) => {
-                ("svd", "convergence_check", vec![("rho", rho.into()), count("members", n)])
-            }
-            Converged(rho, n) => {
-                ("workflow", "converged", vec![("rho", rho.into()), count("members", n)])
-            }
+            ConvergenceCheck(rho, n) => ("svd", "convergence_check", rho_at(rho, n)),
+            Converged(rho, n) => ("workflow", "converged", rho_at(rho, n)),
             DeadlineExpired(tmax) => ("workflow", "deadline_expired", vec![("tmax_ms", ms(tmax))]),
             StageAdvance(target) => ("workflow", "stage_advance", vec![count("target", target)]),
             Degraded(coverage, lost, quarantined, replaced) => {
@@ -1023,20 +935,15 @@ impl<'a> Sink<'a> {
                 ];
                 ("workflow", "degraded", args)
             }
+            Span(cat, name, started, members) => {
+                let args = members.map_or(Vec::new(), |n| vec![count("members", n)]);
+                obs.begin_at(ns(started), coord, cat, name, args);
+                obs.end_at(ts, coord, cat, name);
+                return;
+            }
             Completed | Wasted | Replaced => return,
         };
         obs.instant_at(ts, coord, cat, name, args);
-    }
-
-    /// A closed coordinator span, recorded once it has ended.
-    fn span<A>(&self, from: Duration, to: Duration, cat: &'static str, name: &'static str, args: A)
-    where
-        A: FnOnce() -> Vec<(&'static str, ArgValue)>,
-    {
-        if self.obs.enabled() {
-            self.obs.begin_at(ns(from), Lane::Coordinator, cat, name, args());
-            self.obs.end_at(ns(to), Lane::Coordinator, cat, name);
-        }
     }
 }
 
@@ -1121,9 +1028,8 @@ impl<'a> Engine<'a> {
         while self.got < self.sent || !self.retry_queue.is_empty() {
             let msg = msgs.recv_timeout(POLL);
             let now = self.clock();
-            if let Some(tmax) = self.cfg().deadline.filter(|&t| now >= t && !self.deadline_expired)
-            {
-                self.stop(now, Stop::Deadline(tmax))?;
+            if !self.deadline_expired && self.cfg().deadline.is_some_and(|tmax| now >= tmax) {
+                self.stop(now, Stop::Deadline)?;
             }
             self.release_due_retries(now);
             self.speculate(now);
@@ -1362,24 +1268,14 @@ impl<'a> Engine<'a> {
             self.book[id].attempts += 1;
             self.retry_queue.push((now + delay, id, attempts));
             (self.records[id].state, self.records[id].outcome) = (TaskState::Pending, None);
-            let ev = if quarantined {
-                Event::ReplacementScheduled(id, attempts)
-            } else {
-                Event::RetryScheduled(id, attempts, delay)
-            };
-            self.sink.note(now, ev);
+            self.sink.note(now, Event::Requeued(id, attempts, delay, quarantined));
         } else {
             self.book[id].resolved = true;
             self.records[id].outcome = Some(TaskOutcome::Failed(why));
             if let Some((ck, _)) = &self.journal {
                 ck.record_failed(id, attempts as i32)?;
             }
-            let ev = if quarantined {
-                Event::LostQuarantine(id, attempts)
-            } else {
-                Event::Failed(id, attempts)
-            };
-            self.sink.note(now, ev);
+            self.sink.note(now, Event::Lost(id, attempts, quarantined));
         }
         Ok(())
     }
@@ -1441,8 +1337,9 @@ impl<'a> Engine<'a> {
                 self.converged_at = Some(now);
                 self.sink.note(now, Event::Converged(rho, self.acc.count()));
             }
-            Stop::Deadline(tmax) => {
+            Stop::Deadline => {
                 self.deadline_expired = true;
+                let tmax = self.cfg().deadline.unwrap_or_default();
                 self.sink.note(now, Event::DeadlineExpired(tmax));
             }
             Stop::PoolDied => {}
@@ -1491,8 +1388,7 @@ impl<'a> Engine<'a> {
             let started = self.clock();
             decomposed = self.acc.estimate()?.map(|u| u.subspace);
             self.svd_rounds += usize::from(decomposed.is_some());
-            let args = || vec![("members", done.into())];
-            self.sink.span(started, self.clock(), "svd", "svd_final", args);
+            self.sink.note(self.clock(), Event::Span("svd", "svd_final", started, Some(done)));
         }
         let subspace = decomposed
             .or(self.previous.take())

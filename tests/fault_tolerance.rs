@@ -73,7 +73,7 @@ fn pool_death_config(k: u64) -> MtcConfig {
     for w in 0..workers {
         plan = plan.with_worker_death(w, 3 + (w + k as usize) % 3);
     }
-    let retry = if k % 2 == 0 { RetryPolicy::retries(3) } else { RetryPolicy::disabled() };
+    let retry = if k < 4 { RetryPolicy::retries(3) } else { RetryPolicy::disabled() };
     faulty_config(16, workers, plan, retry)
 }
 
