@@ -999,6 +999,8 @@ impl<'a> Engine<'a> {
         ((n as f64 * self.cfg().pool_factor).ceil() as usize).max(n)
     }
 
+    /// Fold the resumed members, queue the first stage, run the receive
+    /// loop, wind down.
     fn drive(
         mut self,
         init: &RunInit<'_>,
